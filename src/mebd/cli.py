@@ -13,9 +13,9 @@ import time
 
 import numpy as np
 
-from . import __version__, dynamics, entanglement, linalg, model
+from . import __version__, dynamics, entanglement
 from .errors import MebdError, NoMaximumFound
-from .hilbert import Bipartition, SiteSet, basis_index
+from .hilbert import Bipartition, SiteSet
 from .model import CouplingKind, CouplingProfile
 from .dynamics import MEBD, PER_PARTITION, SweepConfig
 
@@ -59,27 +59,26 @@ def parse_partition(spec: str, n_sites: int) -> Bipartition:
     return Bipartition(a, b)
 
 
-def _threads(value: str | None) -> int | None:
-    if value is None or value == "auto":
-        import os
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv: list[str] | None) -> argparse.Namespace:
+    """Re-parse argv with a JSON config file's keys as the subcommand's defaults.
 
-        return os.cpu_count()
-    n = int(value)
-    if n < 1:
-        raise ValueError("--threads must be >= 1 or 'auto'")
-    return n
-
-
-def _load_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from a JSON config file (same keys as flags, dashes->underscores)."""
-    if not getattr(args, "config", None):
-        return
+    Keys are flag names, with dashes or underscores; flags given on the
+    command line still win.  A key that is not a flag of the subcommand fails.
+    """
     with open(args.config) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("config file must hold a JSON object")
+    flags = set(vars(args)) - {"command", "func", "subcommands", "config"}
+    defaults = {}
     for key, val in data.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) in (None, ()):
-            setattr(args, attr, val)
+        dest = key.replace("-", "_")
+        if dest not in flags:
+            raise ValueError(f"unknown config key {key!r} for '{args.command}'")
+        defaults[dest] = val
+    args.subcommands[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 GRID_DEFAULTS = {"tau_min": 0.0, "tau_max": 4.0, "tau_step": 0.005,
@@ -136,7 +135,7 @@ def _write_manifest(out_path: str, manifest: dict) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _sweep_config(args)
     start = time.monotonic()
-    records = dynamics.run_sweep(cfg, workers=_threads(args.threads))
+    records = dynamics.run_sweep(cfg)
     wall = time.monotonic() - start
 
     columns = [q for q in (dynamics.MEBD, dynamics.E1_FIXED, dynamics.E_TILDE)
@@ -183,6 +182,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         if n not in REFERENCE_MAXIMA:
             raise ValueError(f"--n-list entries must be among {sorted(REFERENCE_MAXIMA)}")
 
+    grid = {"tau_start": 0.0, "tau_end": 3.0, "tau_step": args.tau_step}
     rows = []
     start = time.monotonic()
     for n in n_list:
@@ -191,12 +191,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
             n_sites=n,
             initial_label=init,
             profile=CouplingProfile(kind, n),
-            tau_start=0.0,
-            tau_end=3.0,
-            tau_step=args.tau_step,
             quantities=(MEBD,),
+            **grid,
         )
-        records = dynamics.run_sweep(cfg, workers=_threads(args.threads))
+        records = dynamics.run_sweep(cfg)
         report = dynamics.find_first_maximum(records, MEBD)
         row = {
             "n_sites": n,
@@ -242,7 +240,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         _write_manifest(args.out, {"command": "table1", "profile": kind.value,
-                                   "tau_step": args.tau_step,
+                                   "n_list": n_list, **grid, "quantities": [MEBD],
                                    "code_version": __version__,
                                    "wall_time_seconds": wall})
     if breach:
@@ -254,12 +252,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 def cmd_negativity(args: argparse.Namespace) -> int:
     partition = parse_partition(args.partition, args.n)
     profile = CouplingProfile(PROFILE_NAMES[_resolved(args, "profile")], args.n)
-    ham = model.build_hdz(args.n, profile)
-    spec = linalg.hermitian_eig(ham.matrix)
-    psi0 = np.zeros(1 << args.n, dtype=np.complex128)
-    psi0[basis_index(args.init)] = 1.0
-    psi = spec.vectors @ (np.exp(-1j * spec.eigenvalues * args.tau)
-                          * (spec.vectors.conj().T @ psi0))
+    psi = next(dynamics.evolve(args.n, args.init, [args.tau], profile))
     rho = np.outer(psi, psi.conj())
     value = entanglement.double_negativity(rho, partition)
     if args.json:
@@ -273,7 +266,7 @@ def cmd_negativity(args: argparse.Namespace) -> int:
 def cmd_first_max(args: argparse.Namespace) -> int:
     cfg = _sweep_config(args)
     quantity = args.quantity.replace("-", "_")
-    records = dynamics.run_sweep(cfg, workers=_threads(args.threads))
+    records = dynamics.run_sweep(cfg)
     report = dynamics.find_first_maximum(records, quantity, min_value=args.min_value)
     payload = {
         "quantity": quantity,
@@ -295,7 +288,6 @@ def _add_common_flags(p: argparse.ArgumentParser, need_init: bool = True) -> Non
     if need_init:
         p.add_argument("--init", type=str, help="initial basis label, e.g. 1001")
     p.add_argument("--profile", choices=sorted(PROFILE_NAMES), default=None)
-    p.add_argument("--threads", default=None, help="worker count or 'auto'")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--out", type=str, default=None, help="output file path")
     p.add_argument("--config", type=str, default=None, help="JSON config file (same keys as flags)")
@@ -343,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fm.add_argument("--min-value", type=float, default=0.5)
     p_fm.set_defaults(func=cmd_first_max)
 
+    parser.set_defaults(subcommands=sub.choices)
     return parser
 
 
@@ -363,11 +356,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            args = _apply_config(parser, args, argv)
+        _validate_required(args)
     except SystemExit as exc:
         return EXIT_BAD_FLAGS if exc.code not in (0, None) else 0
-    try:
-        _load_config(args)
-        _validate_required(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         _err(str(exc))
         return EXIT_BAD_FLAGS

@@ -1,4 +1,4 @@
-"""Time sweeps: evolve rho(tau) on a grid, evaluate witnesses, locate first maxima.
+"""Time sweeps: evolve psi(tau) on a grid, evaluate witnesses, locate first maxima.
 
 The Hamiltonian is eigendecomposed once; each grid point only needs the phase
 factors e^{-i w tau} applied to the initial state in the eigenbasis.
@@ -7,7 +7,7 @@ factors e^{-i w tau} applied to the initial state in the eigenbasis.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +42,6 @@ class SweepConfig:
     tau_step: float = 0.005
     quantities: tuple[str, ...] = (MEBD, E1_FIXED, E_TILDE)
     fixed_bipartition: Bipartition | None = None
-    method: str = "auto"
 
     def __post_init__(self):
         if len(self.initial_label) != self.n_sites:
@@ -78,41 +77,49 @@ class MaximumReport:
     kind: str  # "grid-point" or "parabolic-refined"
 
 
-def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[SweepRecord]:
-    """Evaluate the requested witnesses on the tau grid, in grid order."""
-    ham = build_hdz(cfg.n_sites, cfg.resolved_profile())
-    spec = linalg.hermitian_eig(ham.matrix)
-    psi0 = np.zeros(1 << cfg.n_sites, dtype=np.complex128)
-    psi0[basis_index(cfg.initial_label)] = 1.0
-    c0 = spec.vectors.conj().T @ psi0
+def evolve(n_sites: int, initial_label: str, taus: Iterable[float],
+           profile: CouplingProfile | None = None) -> Iterator[np.ndarray]:
+    """Yield psi(tau) = e^{-iH tau} |initial_label> for each tau, in order.
 
+    H (all-pairs dipolar unless a profile is given) is eigendecomposed once;
+    each tau then costs one phase multiply and one matrix-vector product.
+    """
+    if len(initial_label) != n_sites:
+        raise ValueError("initial label length != n_sites")
+    ham = build_hdz(n_sites, profile or CouplingKind.ALL_PAIRS_DIPOLAR)
+    spec = linalg.hermitian_eig(ham.matrix)
+    psi0 = np.zeros(1 << n_sites, dtype=np.complex128)
+    psi0[basis_index(initial_label)] = 1.0
+    c0 = spec.vectors.conj().T @ psi0
+    for tau in taus:
+        yield spec.vectors @ (np.exp(-1j * spec.eigenvalues * tau) * c0)
+
+
+def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
+    """Evaluate the requested witnesses on the tau grid, in grid order."""
     fixed = cfg.fixed_bipartition or default_fixed_bipartition(cfg.n_sites)
     family = entanglement.enumerate_bipartitions(cfg.n_sites)
 
-    def evaluate(tau: float) -> SweepRecord:
-        psi = spec.vectors @ (np.exp(-1j * spec.eigenvalues * tau) * c0)
+    records = []
+    taus = cfg.grid()
+    for tau, psi in zip(taus, evolve(cfg.n_sites, cfg.initial_label, taus, cfg.profile)):
         rho = np.outer(psi, psi.conj())
         values: dict[str, float] = {}
         per: dict[Bipartition, float] | None = None
         if MEBD in cfg.quantities or PER_PARTITION in cfg.quantities:
-            res = entanglement.mebd(rho, method=cfg.method)
+            res = entanglement.mebd(rho)
             per = res.per_partition
             if MEBD in cfg.quantities:
                 values[MEBD] = res.value
         if E1_FIXED in cfg.quantities:
-            values[E1_FIXED] = entanglement.lower_estimate_1(rho, fixed, method=cfg.method)
+            values[E1_FIXED] = entanglement.lower_estimate_1(rho, fixed)
         if E_TILDE in cfg.quantities:
-            values[E_TILDE] = entanglement.single_node_witness(rho, method=cfg.method)
+            values[E_TILDE] = entanglement.single_node_witness(rho)
         if PER_PARTITION in cfg.quantities and per is not None:
             for p in family.partitions:
                 values[f"p_{p.label()}"] = per[p]
-        return SweepRecord(tau=float(tau), values=values)
-
-    taus = cfg.grid()
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(evaluate, taus))
-    return [evaluate(t) for t in taus]
+        records.append(SweepRecord(tau=float(tau), values=values))
+    return records
 
 
 def find_first_maximum(series: list[SweepRecord], quantity: str = MEBD,
@@ -120,13 +127,18 @@ def find_first_maximum(series: list[SweepRecord], quantity: str = MEBD,
     """First interior grid point >= both neighbours and >= min_value.
 
     The reported location is refined by the parabola through the point and
-    its neighbours; min_value filters the small ripples near tau = 0.
+    its neighbours, which needs a uniform grid; min_value filters the small
+    ripples near tau = 0.
     """
     if not series:
         raise NoMaximumFound("empty series")
     taus = [r.tau for r in series]
-    if any(t1 >= t2 for t1, t2 in zip(taus, taus[1:])):
+    steps = np.diff(taus)
+    if np.any(steps <= 0):
         raise NoMaximumFound("series must be strictly increasing in tau")
+    # Relative tolerance: grid() spacings differ in the last bits.
+    if steps.size and steps.max() - steps.min() > 1e-9 * steps.max():
+        raise NoMaximumFound("series must be uniformly spaced in tau")
     vals = [r.values[quantity] for r in series]
     for i in range(1, len(vals) - 1):
         if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1] and vals[i] >= min_value:

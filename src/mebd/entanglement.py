@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,27 +118,20 @@ def _sector_labels(n_sites: int, subset: SiteSet) -> np.ndarray:
     return _sector_labels_for_mask(n_sites, subset.mask)
 
 
-def double_negativity(rho: np.ndarray, p: Bipartition, method: str = "auto") -> float:
+def double_negativity(rho: np.ndarray, p: Bipartition) -> float:
     """2 |sum of negative eigenvalues| of rho^{T_A} for the split p = A|B.
 
-    method: 'dense' always eigensolves the full matrix; 'blocked' exploits
-    I_z conservation (block-diagonal partial transpose); 'auto' tries the
-    blocked path and falls back to dense when the block structure is absent.
+    States that conserve I_z have a block-diagonal partial transpose, solved
+    block by block; any other state falls back to the dense eigensolve.
     """
-    if method not in ("auto", "dense", "blocked"):
-        raise ValueError(f"unknown method {method!r}")
     pt = partial_transpose(rho, p.part_a)
-    if method != "dense":
-        w = _blocked_spectrum(pt, _sector_labels(p.n_sites, p.part_a))
-        if w is not None:
-            return linalg.negative_sum_of_eigenvalues(w)
-        if method == "blocked":
-            raise BadPartition("state does not conserve I_z; blocked path unavailable")
-    return linalg.negative_sum(pt)
+    w = _blocked_spectrum(pt, _sector_labels(p.n_sites, p.part_a))
+    if w is None:
+        return linalg.negative_sum(pt)
+    return linalg.negative_sum_of_eigenvalues(w)
 
 
-def pairwise_negativity(rho: np.ndarray, parts: list[SiteSet], i: int, j: int,
-                        method: str = "auto") -> float:
+def pairwise_negativity(rho: np.ndarray, parts: list[SiteSet], i: int, j: int) -> float:
     """Double negativity between parts[i] and parts[j] after tracing out the rest."""
     n = n_sites_of(rho)
     if i == j:
@@ -160,28 +152,20 @@ def pairwise_negativity(rho: np.ndarray, parts: list[SiteSet], i: int, j: int,
     kept = keep.sites()
     local_a = SiteSet.from_sites(len(kept), (kept.index(s) + 1 for s in a.sites()))
     p = Bipartition(local_a, local_a.complement())
-    return double_negativity(reduced, p, method=method)
+    return double_negativity(reduced, p)
 
 
-def mebd(rho: np.ndarray, method: str = "auto", workers: int | None = None) -> MebdResult:
+def mebd(rho: np.ndarray) -> MebdResult:
     """Minimum double negativity over every bipartition of the register."""
     n = n_sites_of(rho)
     family = enumerate_bipartitions(n)
-
-    def neg(p: Bipartition) -> float:
-        return double_negativity(rho, p, method=method)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(neg, family.partitions))
-    else:
-        values = [neg(p) for p in family.partitions]
+    values = [double_negativity(rho, p) for p in family.partitions]
     per = dict(zip(family.partitions, values))
     best = min(range(len(values)), key=lambda k: values[k])
     return MebdResult(value=values[best], argmin=family.partitions[best], per_partition=per)
 
 
-def single_node_witness(rho: np.ndarray, method: str = "auto") -> float:
+def single_node_witness(rho: np.ndarray) -> float:
     """Min over sites of the one-site-versus-rest double negativity (upper bound on MEBD)."""
     n = n_sites_of(rho)
     if n < 2:
@@ -189,7 +173,7 @@ def single_node_witness(rho: np.ndarray, method: str = "auto") -> float:
     vals = []
     for s in range(1, n + 1):
         a = SiteSet.from_sites(n, [s])
-        vals.append(double_negativity(rho, Bipartition(a, a.complement()), method=method))
+        vals.append(double_negativity(rho, Bipartition(a, a.complement())))
     return min(vals)
 
 
@@ -204,36 +188,36 @@ def _sub_bipartitions(sites: tuple[int, ...]):
             yield a, b
 
 
-def _cross_negativity(rho: np.ndarray, sites_a: tuple[int, ...], sites_b: tuple[int, ...],
-                      method: str) -> float:
+def _cross_negativity(rho: np.ndarray, sites_a: tuple[int, ...],
+                      sites_b: tuple[int, ...]) -> float:
     """Negativity between two site groups after reducing onto their union."""
     n = n_sites_of(rho)
     parts = [SiteSet.from_sites(n, sites_a), SiteSet.from_sites(n, sites_b)]
     leftover = SiteSet(n, (1 << n) - 1 - parts[0].mask - parts[1].mask)
     if leftover.mask:
         parts.append(leftover)
-    return pairwise_negativity(rho, parts, 0, 1, method=method)
+    return pairwise_negativity(rho, parts, 0, 1)
 
 
-def mebd_of_subsystem(rho: np.ndarray, sites: tuple[int, ...], method: str = "auto") -> float:
+def mebd_of_subsystem(rho: np.ndarray, sites: tuple[int, ...]) -> float:
     """MEBD of the reduced state on the given sites of the full register."""
     n = n_sites_of(rho)
     reduced = partial_trace(rho, SiteSet.from_sites(n, sites))
-    return mebd(reduced, method=method).value
+    return mebd(reduced).value
 
 
-def lower_estimate_1(rho: np.ndarray, j: Bipartition, method: str = "auto") -> float:
+def lower_estimate_1(rho: np.ndarray, j: Bipartition) -> float:
     """min(E(A), E(B), N_{A,B}) for the fixed split j.
 
     Single-site parts have no internal decomposition; their MEBD term is
     omitted from the min.
     """
     sa, sb = j.part_a.sites(), j.part_b.sites()
-    terms = [_cross_negativity(rho, sa, sb, method)]
+    terms = [_cross_negativity(rho, sa, sb)]
     if len(sa) >= 2:
-        terms.append(mebd_of_subsystem(rho, sa, method))
+        terms.append(mebd_of_subsystem(rho, sa))
     if len(sb) >= 2:
-        terms.append(mebd_of_subsystem(rho, sb, method))
+        terms.append(mebd_of_subsystem(rho, sb))
     return min(terms)
 
 
@@ -242,7 +226,7 @@ def max_level(n_sites: int) -> int:
     return max(1, n_sites - 2)
 
 
-def lower_estimate_level(rho: np.ndarray, level: int, method: str = "auto") -> float:
+def lower_estimate_level(rho: np.ndarray, level: int) -> float:
     """Level-k lower estimator of MEBD.
 
     Level 0 is exact MEBD; level k replaces each subsystem MEBD by that
@@ -269,11 +253,11 @@ def lower_estimate_level(rho: np.ndarray, level: int, method: str = "auto") -> f
         if key in value_cache:
             return value_cache[key]
         if lev == 0:
-            val = mebd(reduced(sites), method=method).value
+            val = mebd(reduced(sites)).value
         else:
             val = 0.0
             for sa, sb in _sub_bipartitions(sites):
-                cross = _cross_negativity(rho, sa, sb, method)
+                cross = _cross_negativity(rho, sa, sb)
                 cand = min(estimate(sa, lev - 1), estimate(sb, lev - 1), cross)
                 val = max(val, cand)
         value_cache[key] = val

@@ -1,7 +1,7 @@
-"""Dense Hermitian kernel: eigendecomposition, spectral propagators, negative-spectrum sums.
+"""Dense Hermitian kernel: eigendecomposition and negative-spectrum sums.
 
 Everything downstream (Hamiltonian evolution, partial-transpose spectra) is
-built on the three contracts here.  All functions are pure; arrays are never
+built on the contracts here.  All functions are pure; arrays are never
 mutated in place.
 """
 
@@ -43,14 +43,6 @@ class SpectralForm:
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """V diag(w) V†."""
-        return (self.vectors * self.eigenvalues) @ self.vectors.conj().T
-
 
 def hermitian_eig(m: np.ndarray) -> SpectralForm:
     """Eigendecompose a Hermitian matrix; eigenvalues come out ascending."""
@@ -60,21 +52,6 @@ def hermitian_eig(m: np.ndarray) -> SpectralForm:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     return SpectralForm(eigenvalues=w, vectors=v)
-
-
-def propagator(h: SpectralForm, tau: float) -> np.ndarray:
-    """U(tau) = V diag(e^{-i w tau}) V† for the Hermitian generator behind h."""
-    phases = np.exp(-1j * h.eigenvalues * tau)
-    return (h.vectors * phases) @ h.vectors.conj().T
-
-
-def conjugate_evolution(rho0: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u rho0 u†, the unitary conjugation step of closed-system evolution."""
-    rho = _as_square_complex(rho0)
-    uu = _as_square_complex(u)
-    if rho.shape != uu.shape:
-        raise DimensionMismatch(f"rho {rho.shape} vs u {uu.shape}")
-    return uu @ rho @ uu.conj().T
 
 
 def negative_sum(m: np.ndarray) -> float:

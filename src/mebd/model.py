@@ -39,10 +39,6 @@ class Hamiltonian:
     matrix: np.ndarray
     profile: CouplingProfile
 
-    @property
-    def n_sites(self) -> int:
-        return self.profile.n_sites
-
 
 def build_hdz(n_sites: int, profile: CouplingProfile | CouplingKind = CouplingKind.ALL_PAIRS_DIPOLAR) -> Hamiltonian:
     """Assemble the chain Hamiltonian in the 2^N product basis.
@@ -77,17 +73,3 @@ def build_hdz(n_sites: int, profile: CouplingProfile | CouplingKind = CouplingKi
             dst = src ^ ((1 << bi) | (1 << bj))
             h[dst, src] += 0.5 * d
     return Hamiltonian(matrix=h, profile=profile)
-
-
-def total_iz(n_sites: int) -> np.ndarray:
-    """Diagonal z-projection of the total spin: (N - 2k)/2 for k excited spins."""
-    idx = np.arange(1 << n_sites)
-    ones = np.array([bin(i).count("1") for i in idx])
-    return np.diag((n_sites - 2 * ones) / 2.0).astype(np.complex128)
-
-
-def verify_iz_commutation(h: Hamiltonian) -> float:
-    """Max-abs entry of [H, I_z]; structurally < 1e-12 for any built H."""
-    iz = total_iz(h.n_sites)
-    comm = h.matrix @ iz - iz @ h.matrix
-    return float(np.max(np.abs(comm)))

@@ -50,3 +50,15 @@ def w_state(n):
     for i in range(n):
         psi[1 << i] = 1 / np.sqrt(n)
     return psi
+
+
+def total_iz(n):
+    """Diagonal of the total z-projection: (N - 2k)/2 for k excited spins."""
+    excited = np.array([bin(i).count("1") for i in range(1 << n)])
+    return (n - 2 * excited) / 2.0
+
+
+def iz_commutator(h):
+    """Max-abs entry of [H, I_z]; I_z is diagonal, so [H, I_z]_ij = H_ij (z_j - z_i)."""
+    z = total_iz(h.shape[0].bit_length() - 1)
+    return float(np.max(np.abs(h * (z[None, :] - z[:, None]))))

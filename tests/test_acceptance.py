@@ -5,7 +5,6 @@ minutes single-threaded); they are computed once per session and shared.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from mebd.entanglement import (
     double_negativity,
     enumerate_bipartitions,
     lower_estimate_level,
+    max_level,
     mebd,
     pairwise_negativity,
     single_node_witness,
@@ -23,15 +23,16 @@ from mebd.entanglement import (
 from mebd.hilbert import (
     Bipartition,
     SiteSet,
-    basis_index,
     excitation_sector,
+    partial_transpose,
     pure_density,
 )
-from mebd.model import build_hdz, verify_iz_commutation
+from mebd.model import build_hdz
 
 from conftest import (
     bell_state,
     ghz_state,
+    iz_commutator,
     random_pure_state,
     random_sector_state,
     w_state,
@@ -45,7 +46,6 @@ REFERENCE_ROWS = {
 }
 TABLE_TOL = 0.01
 
-_WORKERS = os.cpu_count()
 _sweep_cache = {}
 _report_cache = {}
 
@@ -57,7 +57,7 @@ def chain_sweep(n):
         cfg = SweepConfig(n_sites=n, initial_label=init, tau_start=0.0,
                           tau_end=3.0, tau_step=0.01,
                           quantities=(MEBD, E1_FIXED, E_TILDE))
-        _sweep_cache[n] = dynamics.run_sweep(cfg, workers=_WORKERS)
+        _sweep_cache[n] = dynamics.run_sweep(cfg)
     return _sweep_cache[n]
 
 
@@ -68,11 +68,7 @@ def first_maximum(n):
 
 
 def evolve(n, label, tau):
-    ham = build_hdz(n)
-    sf = linalg.hermitian_eig(ham.matrix)
-    psi0 = np.zeros(1 << n, dtype=np.complex128)
-    psi0[basis_index(label)] = 1.0
-    psi = sf.vectors @ (np.exp(-1j * sf.eigenvalues * tau) * (sf.vectors.conj().T @ psi0))
+    (psi,) = dynamics.evolve(n, label, [tau])
     return np.outer(psi, psi.conj())
 
 
@@ -189,16 +185,10 @@ def test_criterion_5_witness_ordering():
 def test_criterion_6_conservation():
     worst_trace = worst_purity = worst_leak = worst_comm = 0.0
     for n, (label, _, _) in REFERENCE_ROWS.items():
-        ham = build_hdz(n)
-        worst_comm = max(worst_comm, verify_iz_commutation(ham))
-        sf = linalg.hermitian_eig(ham.matrix)
-        psi0 = np.zeros(1 << n, dtype=np.complex128)
-        psi0[basis_index(label)] = 1.0
-        c0 = sf.vectors.conj().T @ psi0
+        worst_comm = max(worst_comm, iz_commutator(build_hdz(n).matrix))
         sector = set(excitation_sector(n, label.count("1")))
         outside = [i for i in range(1 << n) if i not in sector]
-        for tau in np.arange(0.0, 3.01, 0.05):
-            psi = sf.vectors @ (np.exp(-1j * sf.eigenvalues * tau) * c0)
+        for psi in dynamics.evolve(n, label, np.arange(0.0, 3.01, 0.05)):
             rho = np.outer(psi, psi.conj())
             worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))
             worst_purity = max(worst_purity, abs(np.trace(rho @ rho).real - 1.0))
@@ -211,7 +201,7 @@ def test_criterion_6_conservation():
            f"leak={worst_leak:.1e} comm={worst_comm:.1e}")
 
 
-def test_criterion_7_oracle_equivalence():
+def test_criterion_7_oracle_equivalence(monkeypatch):
     rng = np.random.default_rng(13)
     worst_blocked = 0.0
     for trial in range(50):
@@ -219,14 +209,26 @@ def test_criterion_7_oracle_equivalence():
         k = rng.integers(1, n)
         rho = pure_density(random_sector_state(rng, n, int(k)))
         for p in enumerate_bipartitions(n).partitions:
-            a = double_negativity(rho, p, method="blocked")
-            b = double_negativity(rho, p, method="dense")
-            worst_blocked = max(worst_blocked, abs(a - b))
+            dense = linalg.negative_sum(partial_transpose(rho, p.part_a))
+            worst_blocked = max(worst_blocked, abs(double_negativity(rho, p) - dense))
+
+    # Sector states must be solved block by block, never by the dense fallback.
+    def dense_fallback(m):
+        raise RuntimeError("sector state reached the dense fallback")
+
+    monkeypatch.setattr(linalg, "negative_sum", dense_fallback)
+    rho7 = evolve(7, "1001100", 1.3)
+    try:
+        mebd(rho7)
+        for level in range(1, max_level(7) + 1):
+            lower_estimate_level(rho7, level)
+        fallback_free = True
+    except RuntimeError:
+        fallback_free = False
 
     worst_taylor = 0.0
     for n, label in ((2, "10"), (3, "010"), (3, "110")):
         h = build_hdz(n).matrix
-        sf = linalg.hermitian_eig(h)
         rho0 = pure_density(label)
         for tau in (0.5, 1.0, 2.0):
             series = np.zeros_like(h)
@@ -235,11 +237,13 @@ def test_criterion_7_oracle_equivalence():
                 series += term
                 term = term @ (-1j * h * tau) / (kk + 1)
             expected = series @ rho0 @ series.conj().T
-            got = linalg.conjugate_evolution(rho0, linalg.propagator(sf, tau))
+            got = evolve(n, label, tau)
             worst_taylor = max(worst_taylor, float(np.abs(got - expected).max()))
-    ok = worst_blocked < 1e-9 and worst_taylor < 1e-8
-    report(7, "blocked eigensolve matches dense; evolution matches Taylor series",
-           ok, f"blocked dev={worst_blocked:.1e}, taylor dev={worst_taylor:.1e}")
+    ok = worst_blocked < 1e-9 and fallback_free and worst_taylor < 1e-8
+    report(7, "blocked eigensolve matches dense, no dense fallback on sector states; "
+              "evolution matches Taylor series",
+           ok, f"blocked dev={worst_blocked:.1e}, fallback-free={fallback_free}, "
+               f"taylor dev={worst_taylor:.1e}")
 
 
 def test_criterion_8_partition_combinatorics():

@@ -62,13 +62,6 @@ class TestSweepCommand:
             vals = [float(x) for x in line.split(",")]
             assert min(vals[2:]) == vals[1]
 
-    def test_threads_do_not_change_output(self, capsys):
-        args = ["sweep", "--n", "3", "--init", "010",
-                "--tau-max", "1.0", "--tau-step", "0.2"]
-        _, out1, _ = run_cli(capsys, *args, "--threads", "1")
-        _, out2, _ = run_cli(capsys, *args, "--threads", "4")
-        assert out1 == out2
-
     def test_missing_flags(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "3")
         assert code == 2
@@ -85,6 +78,15 @@ class TestSweepCommand:
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 0
         assert out.startswith("tau,")
+
+    @pytest.mark.parametrize("key", ["typo_key", "threads"])
+    def test_config_unknown_key(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 2, "init": "10", key: 4}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert key in err
+        assert not out
 
 
 class TestNegativityCommand:
@@ -117,8 +119,10 @@ class TestNegativityCommand:
 
 
 class TestTable1Command:
-    def test_single_row(self, capsys):
-        code, out, _ = run_cli(capsys, "table1", "--n-list", "3", "--json")
+    def test_single_row(self, capsys, tmp_path):
+        out_path = tmp_path / "t1.json"
+        code, out, _ = run_cli(capsys, "table1", "--n-list", "3", "--json",
+                               "--out", str(out_path))
         assert code == 0
         payload = json.loads(out)
         assert len(payload["rows"]) == 1
@@ -126,6 +130,12 @@ class TestTable1Command:
         assert row["tau_dev"] <= 0.01
         assert row["value_dev"] <= 0.01
         assert row["tau_below_pi"]
+        manifest = json.loads((tmp_path / "t1.json.manifest.json").read_text())
+        assert manifest["n_list"] == [3]
+        assert manifest["profile"] == "all-pairs"
+        assert (manifest["tau_start"], manifest["tau_end"], manifest["tau_step"]) \
+            == (0.0, 3.0, 0.01)
+        assert manifest["quantities"] == ["mebd"]
 
     def test_bad_n(self, capsys):
         code, _, _ = run_cli(capsys, "table1", "--n-list", "5")
@@ -143,6 +153,20 @@ class TestFirstMaxCommand:
         assert abs(payload["tau_star"] - 1.505) < 0.01
         assert abs(payload["value"] - 0.943) < 0.01
         assert payload["tau_below_pi"]
+
+    def test_config_sets_json_and_flags_win(self, capsys, tmp_path):
+        # "json": true in the file switches on the store-true flag; underscore
+        # and dash spellings both work; --min-value on the command line
+        # overrides the file's value, which would leave no maximum.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 3, "init": "010", "tau_max": 3.0,
+                                   "tau-step": 0.01, "quantities": "mebd",
+                                   "min_value": 2.0, "json": True}))
+        code, out, _ = run_cli(capsys, "first-max", "--config", str(cfg),
+                               "--min-value", "0.5")
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["tau_star"] - 1.505) < 0.01
 
     def test_no_maximum(self, capsys):
         code, _, err = run_cli(capsys, "first-max", "--n", "2", "--init", "00",

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from mebd import dynamics, linalg
 from mebd.dynamics import (
     MEBD,
     E1_FIXED,
@@ -11,12 +10,13 @@ from mebd.dynamics import (
     MaximumReport,
     SweepConfig,
     SweepRecord,
+    evolve,
     find_first_maximum,
     run_sweep,
     sanity_tau_bound,
 )
 from mebd.errors import GridTooLarge, NoMaximumFound
-from mebd.hilbert import basis_index, excitation_sector
+from mebd.hilbert import excitation_sector, pure_density
 from mebd.model import CouplingKind, CouplingProfile, build_hdz
 
 
@@ -32,6 +32,32 @@ class TestSweepConfig:
     def test_bad_label_length(self):
         with pytest.raises(ValueError):
             SweepConfig(3, "0101")
+
+
+class TestEvolve:
+    def test_matches_taylor_series(self):
+        # |10><10| under the 2-site nearest-neighbour chain at tau = pi/2,
+        # against a truncated exponential series.
+        profile = CouplingProfile(CouplingKind.NEAREST_NEIGHBOR, 2)
+        h = build_hdz(2, profile).matrix
+        tau = np.pi / 2
+        series = np.zeros_like(h)
+        term = np.eye(4, dtype=np.complex128)
+        for k in range(41):
+            series += term
+            term = term @ (-1j * h * tau) / (k + 1)
+        rho0 = pure_density("10")
+        expected = series @ rho0 @ series.conj().T
+        (psi,) = evolve(2, "10", [tau], profile)
+        assert np.max(np.abs(np.outer(psi, psi.conj()) - expected)) < 1e-10
+
+    def test_tau_zero_is_initial_state(self):
+        (psi,) = evolve(3, "010", [0.0])
+        assert np.max(np.abs(np.outer(psi, psi.conj()) - pure_density("010"))) < 1e-12
+
+    def test_bad_label_length(self):
+        with pytest.raises(ValueError):
+            next(evolve(3, "0101", [0.0]))
 
 
 class TestRunSweep:
@@ -52,15 +78,9 @@ class TestRunSweep:
 
     def test_conservation_along_sweep(self):
         n, label = 4, "1001"
-        ham = build_hdz(n)
-        sf = linalg.hermitian_eig(ham.matrix)
-        psi0 = np.zeros(1 << n, dtype=np.complex128)
-        psi0[basis_index(label)] = 1.0
-        c0 = sf.vectors.conj().T @ psi0
         sector = set(excitation_sector(n, label.count("1")))
         outside = [i for i in range(1 << n) if i not in sector]
-        for tau in np.arange(0.0, 4.0, 0.25):
-            psi = sf.vectors @ (np.exp(-1j * sf.eigenvalues * tau) * c0)
+        for psi in evolve(n, label, np.arange(0.0, 4.0, 0.25)):
             rho = np.outer(psi, psi.conj())
             assert abs(np.trace(rho).real - 1.0) < 1e-10
             assert abs(np.trace(rho @ rho).real - 1.0) < 1e-9
@@ -72,14 +92,6 @@ class TestRunSweep:
         for rec in run_sweep(cfg):
             assert rec.values[E1_FIXED] <= rec.values[MEBD] + 1e-9
             assert rec.values[MEBD] <= rec.values[E_TILDE] + 1e-9
-
-    def test_workers_bitwise_deterministic(self):
-        cfg = SweepConfig(3, "010", tau_end=1.0, tau_step=0.1)
-        serial = run_sweep(cfg)
-        parallel = run_sweep(cfg, workers=4)
-        for a, b in zip(serial, parallel):
-            assert a.tau == b.tau
-            assert a.values == b.values
 
 
 class TestFindFirstMaximum:
@@ -110,6 +122,14 @@ class TestFindFirstMaximum:
             cfg = SweepConfig(3, "010", tau_end=3.0, tau_step=step, quantities=(MEBD,))
             reports.append(find_first_maximum(run_sweep(cfg), MEBD))
         assert abs(reports[0].tau_star - reports[1].tau_star) < coarse_step
+
+    def test_non_uniform_grid_rejected(self):
+        # The uniform-grid parabola would put this maximum at tau = 0.527,
+        # E = 1.494; the true maximum of 1 - (tau - 1)^2 is 1 at tau = 1.
+        series = [SweepRecord(tau=t, values={MEBD: 1 - (t - 1) ** 2})
+                  for t in (0.0, 0.9, 1.05, 3.0)]
+        with pytest.raises(NoMaximumFound):
+            find_first_maximum(series, MEBD)
 
     def test_empty_series(self):
         with pytest.raises(NoMaximumFound):

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mebd import linalg
 from mebd.entanglement import (
     double_negativity,
     enumerate_bipartitions,
@@ -14,9 +16,9 @@ from mebd.entanglement import (
     single_node_witness,
 )
 from mebd.errors import BadLevel, BadPartition, BadSize
-from mebd.hilbert import Bipartition, SiteSet, pure_density
+from mebd.hilbert import Bipartition, SiteSet, partial_trace, partial_transpose, pure_density
 
-from conftest import bell_state, ghz_state, random_pure_state, w_state
+from conftest import bell_state, ghz_state, random_pure_state, random_sector_state, w_state
 
 
 def split(n, sites_a):
@@ -84,18 +86,38 @@ class TestDoubleNegativity:
                        - double_negativity(rho, p.swapped())) < 1e-9
 
     def test_methods_agree(self, rng):
-        from conftest import random_sector_state
-
+        # Blocked eigensolve against the dense partial-transpose oracle.
         rho = pure_density(random_sector_state(rng, 4, 2))
         for p in enumerate_bipartitions(4).partitions:
-            dense = double_negativity(rho, p, method="dense")
-            blocked = double_negativity(rho, p, method="blocked")
-            assert abs(dense - blocked) < 1e-9
+            dense = linalg.negative_sum(partial_transpose(rho, p.part_a))
+            assert abs(double_negativity(rho, p) - dense) < 1e-9
 
-    def test_blocked_refuses_generic_state(self, rng):
+    def test_blocked_refuses_generic_state(self, rng, monkeypatch):
+        # A state that does not conserve I_z has no block structure: the
+        # dense fallback must run.
+        calls = []
+        dense = linalg.negative_sum
+
+        def counted(m):
+            calls.append(m)
+            return dense(m)
+
+        monkeypatch.setattr(linalg, "negative_sum", counted)
         rho = pure_density(random_pure_state(rng, 8))
-        with pytest.raises(BadPartition):
-            double_negativity(rho, split(3, [1]), method="blocked")
+        p = split(3, [1])
+        value = double_negativity(rho, p)
+        assert calls
+        assert value == dense(partial_transpose(rho, p.part_a))
+
+    def test_sector_states_skip_dense_fallback(self, rng, monkeypatch):
+        def dense_fallback(m):
+            raise AssertionError("sector state reached the dense fallback")
+
+        monkeypatch.setattr(linalg, "negative_sum", dense_fallback)
+        rho = pure_density(random_sector_state(rng, 5, 2))
+        mebd(rho)
+        single_node_witness(rho)
+        lower_estimate_level(rho, max_level(5))
 
 
 class TestPairwiseNegativity:
@@ -138,13 +160,6 @@ class TestMebd:
         res = mebd(pure_density(random_pure_state(rng, 16)))
         assert res.value == min(res.per_partition.values())
         assert res.per_partition[res.argmin] == res.value
-
-    def test_workers_deterministic(self, rng):
-        rho = pure_density(random_pure_state(rng, 16))
-        a = mebd(rho)
-        b = mebd(rho, workers=4)
-        assert a.value == b.value
-        assert a.argmin == b.argmin
 
 
 class TestSingleNodeWitness:
@@ -237,3 +252,34 @@ class TestHierarchyOfNegativities:
                                  SiteSet.from_sites(4, rest)]
                         inner = pairwise_negativity(rho, parts, 0, 1)
                         assert inner <= mid + 1e-9
+
+
+@st.composite
+def sector_cases(draw):
+    """A sector state on N=2..7 sites, an optional keep-set, and any split of what is kept."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(0, n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    full = (1 << n) - 1
+    keep = full if n == 2 or draw(st.booleans()) else draw(
+        st.sampled_from([m for m in range(1, full) if bin(m).count("1") >= 2]))
+    kept = bin(keep).count("1")
+    mask_a = draw(st.integers(1, (1 << kept) - 2))
+    return n, k, seed, keep, mask_a
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(sector_cases())
+def test_fast_path_matches_dense_oracle(case):
+    n, k, seed, keep, mask_a = case
+    psi = random_sector_state(np.random.default_rng(seed), n, k)
+    rho = partial_trace(pure_density(psi), SiteSet(n, keep))
+    p = Bipartition.from_masks(SiteSet(n, keep).size(), mask_a)
+    value = double_negativity(rho, p)
+    assert abs(value - linalg.negative_sum(partial_transpose(rho, p.part_a))) < 1e-9
+    if keep == (1 << n) - 1:
+        # Pure state: (sum of Schmidt coefficients)^2 - 1 across the split.
+        axes = [s - 1 for s in p.part_a.sites() + p.part_b.sites()]
+        m = psi.reshape((2,) * n).transpose(axes).reshape(1 << p.part_a.size(), -1)
+        schmidt = np.linalg.svd(m, compute_uv=False)
+        assert abs(value - (schmidt.sum() ** 2 - 1)) < 1e-9

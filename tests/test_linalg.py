@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from mebd import linalg
-from mebd.errors import DimensionMismatch, NotHermitian
+from mebd.errors import NotHermitian
 from mebd.hilbert import pure_density
-from mebd.model import CouplingKind, build_hdz
 
 from conftest import bell_state, random_hermitian
 
@@ -22,7 +21,8 @@ class TestHermitianEig:
     def test_reconstruction(self, rng):
         h = random_hermitian(rng, 8)
         sf = linalg.hermitian_eig(h)
-        assert np.max(np.abs(sf.reconstruct() - h)) < 1e-9
+        rebuilt = (sf.vectors * sf.eigenvalues) @ sf.vectors.conj().T
+        assert np.max(np.abs(rebuilt - h)) < 1e-9
 
     def test_orthonormal_vectors(self, rng):
         sf = linalg.hermitian_eig(random_hermitian(rng, 16))
@@ -36,71 +36,6 @@ class TestHermitianEig:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             linalg.hermitian_eig(np.array([[np.nan, 0.0], [0.0, 0.0]]))
-
-
-class TestPropagator:
-    def test_tau_zero_is_identity(self, rng):
-        sf = linalg.hermitian_eig(random_hermitian(rng, 6))
-        assert np.max(np.abs(linalg.propagator(sf, 0.0) - np.eye(6))) < 1e-12
-
-    def test_scalar_phase(self):
-        sf = linalg.hermitian_eig(np.array([[1.0]]))
-        u = linalg.propagator(sf, np.pi)
-        assert abs(u[0, 0] - (-1.0)) < 1e-12
-
-    def test_unitarity(self, rng):
-        sf = linalg.hermitian_eig(random_hermitian(rng, 4))
-        u = linalg.propagator(sf, 0.7)
-        assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-9
-
-    def test_composition(self, rng):
-        sf = linalg.hermitian_eig(random_hermitian(rng, 8))
-        for _ in range(5):
-            t1, t2 = rng.uniform(0, 4, size=2)
-            lhs = linalg.propagator(sf, t1) @ linalg.propagator(sf, t2)
-            rhs = linalg.propagator(sf, t1 + t2)
-            assert np.max(np.abs(lhs - rhs)) < 1e-8
-
-
-class TestConjugateEvolution:
-    def test_identity_leaves_rho(self, rng):
-        rho = pure_density(bell_state())
-        out = linalg.conjugate_evolution(rho, np.eye(4))
-        assert np.max(np.abs(out - rho)) < 1e-15
-
-    def test_purity_preserved(self, rng):
-        rho = pure_density(bell_state())
-        u = linalg.propagator(linalg.hermitian_eig(random_hermitian(rng, 4)), 1.3)
-        out = linalg.conjugate_evolution(rho, u)
-        assert abs(np.trace(out @ out).real - 1.0) < 1e-9
-        assert abs(np.trace(out).real - 1.0) < 1e-10
-
-    def test_spectrum_preserved(self, rng):
-        rho = pure_density(bell_state())
-        u = linalg.propagator(linalg.hermitian_eig(random_hermitian(rng, 4)), 0.9)
-        out = linalg.conjugate_evolution(rho, u)
-        assert np.max(np.abs(np.sort(np.linalg.eigvalsh(out))
-                             - np.sort(np.linalg.eigvalsh(rho)))) < 1e-9
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            linalg.conjugate_evolution(np.eye(4), np.eye(2))
-
-    def test_matches_taylor_series(self):
-        # |10><10| under the 2-site chain Hamiltonian at tau = pi/2,
-        # against a truncated exponential series.
-        h = build_hdz(2, CouplingKind.NEAREST_NEIGHBOR).matrix
-        tau = np.pi / 2
-        series = np.zeros_like(h)
-        term = np.eye(4, dtype=np.complex128)
-        for k in range(41):
-            series += term
-            term = term @ (-1j * h * tau) / (k + 1)
-        rho0 = pure_density("10")
-        expected = series @ rho0 @ series.conj().T
-        u = linalg.propagator(linalg.hermitian_eig(h), tau)
-        out = linalg.conjugate_evolution(rho0, u)
-        assert np.max(np.abs(out - expected)) < 1e-10
 
 
 class TestNegativeSum:

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from mebd import linalg
+from mebd.dynamics import evolve
 from mebd.errors import BadSize
 from mebd.hilbert import basis_index, pure_density, excitation_sector
-from mebd.model import (
-    CouplingKind,
-    CouplingProfile,
-    build_hdz,
-    total_iz,
-    verify_iz_commutation,
-)
+from mebd.model import CouplingKind, CouplingProfile, build_hdz
+
+from conftest import iz_commutator, total_iz
 
 
 class TestCouplingProfile:
@@ -48,7 +44,7 @@ class TestBuildHdz:
 
     def test_commutes_with_iz(self):
         for n in (2, 4, 8):
-            assert verify_iz_commutation(build_hdz(n)) < 1e-12
+            assert iz_commutator(build_hdz(n).matrix) < 1e-12
 
     def test_reflection_symmetry(self):
         n = 5
@@ -71,34 +67,27 @@ class TestBuildHdz:
 class TestTotalIz:
     def test_diagonal_values(self):
         iz = total_iz(2)
-        assert iz[basis_index("00"), basis_index("00")] == 1.0
-        assert iz[basis_index("11"), basis_index("11")] == -1.0
-        assert iz[basis_index("10"), basis_index("10")] == 0.0
-        assert np.max(np.abs(iz - np.diag(np.diag(iz)))) == 0.0
+        assert iz[basis_index("00")] == 1.0
+        assert iz[basis_index("11")] == -1.0
+        assert iz[basis_index("10")] == 0.0
 
 
 class TestVerifyIzCommutation:
     def test_detects_violation(self):
-        ham = build_hdz(3)
+        # The commutator check used by acceptance criterion 6 is not vacuous.
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         perturb = np.kron(sx / 2, np.eye(4, dtype=complex))
-        from mebd.model import Hamiltonian
-
-        broken = Hamiltonian(matrix=ham.matrix + perturb, profile=ham.profile)
-        assert verify_iz_commutation(broken) > 0.1
+        assert iz_commutator(build_hdz(3).matrix + perturb) > 0.1
 
 
 class TestSectorSupport:
     def test_evolution_stays_in_sector(self):
         n, label = 4, "1001"
         k = label.count("1")
-        ham = build_hdz(n)
-        sf = linalg.hermitian_eig(ham.matrix)
-        rho0 = pure_density(label)
         sector = set(excitation_sector(n, k))
         outside = [i for i in range(1 << n) if i not in sector]
-        for tau in np.linspace(0.0, 4.0, 9):
-            rho = linalg.conjugate_evolution(rho0, linalg.propagator(sf, tau))
+        for psi in evolve(n, label, np.linspace(0.0, 4.0, 9)):
+            rho = np.outer(psi, psi.conj())
             leak = np.abs(rho[np.ix_(outside, outside)]).max()
             leak = max(leak, np.abs(rho[np.ix_(outside, sorted(sector))]).max())
             assert leak < 1e-10
