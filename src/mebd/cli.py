@@ -11,8 +11,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, dynamics, entanglement
 from .errors import MebdError, NoMaximumFound
 from .hilbert import Bipartition, SiteSet
@@ -54,6 +52,8 @@ def parse_partition(spec: str, n_sites: int) -> Bipartition:
         sites_b = [int(s) for s in halves[1].split(",") if s]
     except ValueError:
         raise ValueError(f"partition sites must be integers: {spec!r}") from None
+    if len(set(sites_a + sites_b)) != len(sites_a) + len(sites_b):
+        raise ValueError(f"partition repeats a site: {spec!r}")
     a = SiteSet.from_sites(n_sites, sites_a)
     b = SiteSet.from_sites(n_sites, sites_b)
     return Bipartition(a, b)
@@ -253,8 +253,7 @@ def cmd_negativity(args: argparse.Namespace) -> int:
     partition = parse_partition(args.partition, args.n)
     profile = CouplingProfile(PROFILE_NAMES[_resolved(args, "profile")], args.n)
     psi = next(dynamics.evolve(args.n, args.init, [args.tau], profile))
-    rho = np.outer(psi, psi.conj())
-    value = entanglement.double_negativity(rho, partition)
+    value = float(entanglement.pure_double_negativity(psi[None], partition)[0])
     if args.json:
         print(json.dumps({"tau": args.tau, "partition": partition.label(),
                           "double_negativity": value}))

@@ -1,11 +1,13 @@
 """Time sweeps: evolve psi(tau) on a grid, evaluate witnesses, locate first maxima.
 
-The Hamiltonian is eigendecomposed once; each grid point only needs the phase
-factors e^{-i w tau} applied to the initial state in the eigenbasis.
+H conserves the number of excitations, so only its block on the initial
+state's k-excitation sector is eigendecomposed, once; each batch of grid
+points then needs the phase factors e^{-i w tau} and one matrix product.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -14,10 +16,12 @@ import numpy as np
 
 from . import entanglement, linalg
 from .errors import GridTooLarge, NoMaximumFound
-from .hilbert import Bipartition, SiteSet, basis_index
+from .hilbert import Bipartition, SiteSet, basis_index, excitation_sector
 from .model import CouplingKind, CouplingProfile, build_hdz
 
 MAX_GRID_POINTS = 100_000
+# Grid points evolved per matrix product; bounds the memory of long grids.
+EVOLVE_BATCH = 128
 
 MEBD = "mebd"
 E1_FIXED = "e1_fixed"
@@ -46,11 +50,16 @@ class SweepConfig:
     def __post_init__(self):
         if len(self.initial_label) != self.n_sites:
             raise ValueError("initial label length != n_sites")
+        for name in ("tau_start", "tau_end", "tau_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0 <= self.tau_start < self.tau_end) or self.tau_step <= 0:
             raise ValueError("need 0 <= tau_start < tau_end and tau_step > 0")
         for q in self.quantities:
             if q not in KNOWN_QUANTITIES:
                 raise ValueError(f"unknown quantity {q!r}")
+        if self.fixed_bipartition and self.fixed_bipartition.n_sites != self.n_sites:
+            raise ValueError("fixed bipartition lives on a different register")
         if len(self.grid()) > MAX_GRID_POINTS:
             raise GridTooLarge(f"grid exceeds {MAX_GRID_POINTS} points")
 
@@ -77,48 +86,89 @@ class MaximumReport:
     kind: str  # "grid-point" or "parabolic-refined"
 
 
-def evolve(n_sites: int, initial_label: str, taus: Iterable[float],
-           profile: CouplingProfile | None = None) -> Iterator[np.ndarray]:
-    """Yield psi(tau) = e^{-iH tau} |initial_label> for each tau, in order.
+def _evolve_batches(n_sites: int, initial_label: str, taus: Iterable[float],
+                    profile: CouplingProfile | None = None
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (taus, psis) for consecutive batches of up to EVOLVE_BATCH grid points.
 
-    H (all-pairs dipolar unless a profile is given) is eigendecomposed once;
-    each tau then costs one phase multiply and one matrix-vector product.
+    psis has one row psi(tau) per tau, in the full 2^N basis.
     """
     if len(initial_label) != n_sites:
         raise ValueError("initial label length != n_sites")
     ham = build_hdz(n_sites, profile or CouplingKind.ALL_PAIRS_DIPOLAR)
-    spec = linalg.hermitian_eig(ham.matrix)
-    psi0 = np.zeros(1 << n_sites, dtype=np.complex128)
-    psi0[basis_index(initial_label)] = 1.0
-    c0 = spec.vectors.conj().T @ psi0
-    for tau in taus:
-        yield spec.vectors @ (np.exp(-1j * spec.eigenvalues * tau) * c0)
+    start = basis_index(initial_label)
+    sector = excitation_sector(n_sites, initial_label.count("1"))
+    spec = linalg.hermitian_eig(ham.matrix[np.ix_(sector, sector)].real)
+    c0 = spec.vectors[sector.index(start)]
+    taus = iter(taus)
+    while (batch := np.fromiter(itertools.islice(taus, EVOLVE_BATCH), np.float64)).size:
+        bad = batch[~np.isfinite(batch)]
+        if bad.size:
+            raise ValueError(f"tau must be finite, got {bad[0]}")
+        amps = spec.vectors @ (np.exp(-1j * np.outer(spec.eigenvalues, batch)) * c0[:, None])
+        psis = np.zeros((batch.size, 1 << n_sites), dtype=np.complex128)
+        psis[:, sector] = amps.T
+        yield batch, psis
+
+
+def evolve(n_sites: int, initial_label: str, taus: Iterable[float],
+           profile: CouplingProfile | None = None) -> Iterator[np.ndarray]:
+    """Yield psi(tau) = e^{-iH tau} |initial_label> for each tau, in order.
+
+    H (all-pairs dipolar unless a profile is given) is eigendecomposed once,
+    on the initial state's excitation sector; taus are evolved in batches.
+    """
+    for _, psis in _evolve_batches(n_sites, initial_label, taus, profile):
+        yield from psis
+
+
+def _is_one_site(p: Bipartition) -> bool:
+    return p.part_a.size() == 1 or p.part_b.size() == 1
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """Evaluate the requested witnesses on the tau grid, in grid order."""
+    """Evaluate the requested witnesses on the tau grid, in grid order.
+
+    psi(tau) is pure, so each batch fills a table of Schmidt-kernel
+    negativities, one row per tau and one column per split that a quantity
+    reads.  Only the subsystem MEBDs of e1_fixed need mixed states: rho_A =
+    M M^dagger and rho_B = M^T M^* from the fixed split's Schmidt matrix M.
+    """
+    q = cfg.quantities
     fixed = cfg.fixed_bipartition or default_fixed_bipartition(cfg.n_sites)
-    family = entanglement.enumerate_bipartitions(cfg.n_sites)
+    fixed_mask = fixed.part_a.mask if fixed.part_a.mask & 1 else fixed.part_b.mask
+    splits = [p for p in entanglement.enumerate_bipartitions(cfg.n_sites).partitions
+              if MEBD in q or PER_PARTITION in q or (E_TILDE in q and _is_one_site(p))
+              or (E1_FIXED in q and p.part_a.mask == fixed_mask)]
+    one_site = [j for j, p in enumerate(splits) if _is_one_site(p)]
+    fixed_col = next((j for j, p in enumerate(splits) if p.part_a.mask == fixed_mask), None)
 
     records = []
-    taus = cfg.grid()
-    for tau, psi in zip(taus, evolve(cfg.n_sites, cfg.initial_label, taus, cfg.profile)):
-        rho = np.outer(psi, psi.conj())
-        values: dict[str, float] = {}
-        per: dict[Bipartition, float] | None = None
-        if MEBD in cfg.quantities or PER_PARTITION in cfg.quantities:
-            res = entanglement.mebd(rho)
-            per = res.per_partition
-            if MEBD in cfg.quantities:
-                values[MEBD] = res.value
-        if E1_FIXED in cfg.quantities:
-            values[E1_FIXED] = entanglement.lower_estimate_1(rho, fixed)
-        if E_TILDE in cfg.quantities:
-            values[E_TILDE] = entanglement.single_node_witness(rho)
-        if PER_PARTITION in cfg.quantities and per is not None:
-            for p in family.partitions:
-                values[f"p_{p.label()}"] = per[p]
-        records.append(SweepRecord(tau=float(tau), values=values))
+    batches = _evolve_batches(cfg.n_sites, cfg.initial_label, cfg.grid(), cfg.profile)
+    for taus, psis in batches:
+        table = np.empty((len(psis), len(splits)))
+        for j, p in enumerate(splits):
+            table[:, j] = entanglement.pure_double_negativity(psis, p)
+        subsystems = []
+        if E1_FIXED in q:
+            m = entanglement.schmidt_matrices(psis, fixed)
+            if fixed.part_a.size() >= 2:
+                subsystems.append(m @ m.conj().swapaxes(1, 2))
+            if fixed.part_b.size() >= 2:
+                subsystems.append(m.swapaxes(1, 2) @ m.conj())
+        for t, (tau, row) in enumerate(zip(taus, table)):
+            values: dict[str, float] = {}
+            if MEBD in q:
+                values[MEBD] = float(row.min())
+            if E1_FIXED in q:
+                values[E1_FIXED] = min([float(row[fixed_col])] + [
+                    entanglement.mebd(rho[t]).value for rho in subsystems])
+            if E_TILDE in q:
+                values[E_TILDE] = float(row[one_site].min())
+            if PER_PARTITION in q:
+                for p, v in zip(splits, row):
+                    values[f"p_{p.label()}"] = float(v)
+            records.append(SweepRecord(tau=float(tau), values=values))
     return records
 
 
@@ -139,6 +189,8 @@ def find_first_maximum(series: list[SweepRecord], quantity: str = MEBD,
     # Relative tolerance: grid() spacings differ in the last bits.
     if steps.size and steps.max() - steps.min() > 1e-9 * steps.max():
         raise NoMaximumFound("series must be uniformly spaced in tau")
+    if any(quantity not in r.values for r in series):
+        raise ValueError(f"quantity {quantity!r} is not in the series")
     vals = [r.values[quantity] for r in series]
     for i in range(1, len(vals) - 1):
         if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1] and vals[i] >= min_value:

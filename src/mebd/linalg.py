@@ -18,8 +18,9 @@ HERMITICITY_TOL = 1e-10
 ZERO_EIGENVALUE_TOL = 1e-12
 
 
-def _as_square_complex(m: np.ndarray) -> np.ndarray:
-    a = np.asarray(m, dtype=np.complex128)
+def _as_square(m: np.ndarray) -> np.ndarray:
+    """Real input stays real (a real symmetric eigensolve); anything else is complex."""
+    a = np.asarray(m, dtype=np.float64 if np.isrealobj(m) else np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(np.float64))):
@@ -29,7 +30,7 @@ def _as_square_complex(m: np.ndarray) -> np.ndarray:
 
 def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate Hermiticity in max-abs entry norm; returns the validated array."""
-    a = _as_square_complex(m)
+    a = _as_square(m)
     dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
     if dev > tol:
         raise NotHermitian(f"max |m - m†| = {dev:.3e} exceeds {tol:.1e}")

@@ -25,6 +25,8 @@ class TestParsePartition:
             parse_partition("1,2|2,3,4", 4)
         with pytest.raises(ValueError):
             parse_partition("1,x|2", 2)
+        with pytest.raises(ValueError):
+            parse_partition("1,1|2,3", 3)
 
 
 class TestSweepCommand:
@@ -88,6 +90,15 @@ class TestSweepCommand:
         assert key in err
         assert not out
 
+    @pytest.mark.parametrize("flag", ["--tau-min", "--tau-max", "--tau-step"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_grid(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "sweep", "--n", "3", "--init", "010",
+                                 f"{flag}={value}")
+        assert code == 2
+        assert "finite" in err
+        assert not out
+
 
 class TestNegativityCommand:
     def test_tau_zero_is_zero(self, capsys):
@@ -105,10 +116,19 @@ class TestNegativityCommand:
         assert abs(float(out.strip()) - abs(math.sin(tau))) < 1e-9
 
     def test_malformed_partition(self, capsys):
-        code, _, err = run_cli(capsys, "negativity", "--n", "4", "--init", "1001",
-                               "--tau", "0", "--partition", "1,2,3,4")
+        for spec in ("1,2,3,4", "1,1|2,3,4"):
+            code, _, err = run_cli(capsys, "negativity", "--n", "4", "--init", "1001",
+                                   "--tau", "0", "--partition", spec)
+            assert code == 2
+            assert err
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+    def test_non_finite_tau(self, capsys, tau):
+        code, out, err = run_cli(capsys, "negativity", "--n", "3", "--init", "010",
+                                 f"--tau={tau}", "--partition", "1|2,3")
         assert code == 2
-        assert err
+        assert "finite" in err
+        assert not out
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "negativity", "--n", "3", "--init", "010",
@@ -174,6 +194,16 @@ class TestFirstMaxCommand:
                                "--quantities", "mebd", "--quantity", "mebd")
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize("quantity, quantities", [
+        ("bogus", "mebd"), ("e_tilde", "mebd"), ("per-partition", "mebd,per-partition")])
+    def test_unknown_quantity(self, capsys, quantity, quantities):
+        code, out, err = run_cli(capsys, "first-max", "--n", "3", "--init", "010",
+                                 "--tau-max", "3", "--quantities", quantities,
+                                 "--quantity", quantity)
+        assert code == 2
+        assert quantity.replace("-", "_") in err
+        assert not out
 
 
 class TestBadUsage:

@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from mebd import entanglement, hilbert
 from mebd.dynamics import (
+    EVOLVE_BATCH,
     MEBD,
     E1_FIXED,
     E_TILDE,
+    PER_PARTITION,
     MaximumReport,
     SweepConfig,
     SweepRecord,
+    default_fixed_bipartition,
     evolve,
     find_first_maximum,
     run_sweep,
     sanity_tau_bound,
 )
+from mebd.entanglement import lower_estimate_1, mebd, single_node_witness
 from mebd.errors import GridTooLarge, NoMaximumFound
 from mebd.hilbert import excitation_sector, pure_density
 from mebd.model import CouplingKind, CouplingProfile, build_hdz
@@ -32,6 +37,10 @@ class TestSweepConfig:
     def test_bad_label_length(self):
         with pytest.raises(ValueError):
             SweepConfig(3, "0101")
+
+    def test_fixed_split_on_other_register(self):
+        with pytest.raises(ValueError):
+            SweepConfig(4, "1001", fixed_bipartition=default_fixed_bipartition(3))
 
 
 class TestEvolve:
@@ -85,6 +94,49 @@ class TestRunSweep:
             assert abs(np.trace(rho).real - 1.0) < 1e-10
             assert abs(np.trace(rho @ rho).real - 1.0) < 1e-9
             assert np.abs(rho[outside, :]).max() < 1e-10
+
+    def test_never_transposes_full_state(self, monkeypatch):
+        # Every split of the pure psi(tau) goes through the Schmidt kernel;
+        # only the e1_fixed subsystem states reach the partial transpose.
+        n = 6
+        transpose = hilbert.partial_transpose
+        seen = []
+
+        def guarded(rho, subset):
+            if rho.shape[0] == 1 << n:
+                raise AssertionError("partial transpose of the full 2^N state")
+            seen.append(rho.shape[0])
+            return transpose(rho, subset)
+
+        monkeypatch.setattr(hilbert, "partial_transpose", guarded)
+        monkeypatch.setattr(entanglement, "partial_transpose", guarded)
+        cfg = SweepConfig(n, "100110", tau_end=1.0, tau_step=0.25,
+                          quantities=(MEBD, E1_FIXED, E_TILDE, PER_PARTITION))
+        assert len(run_sweep(cfg)) == 5
+        assert seen and max(seen) == 1 << 3
+
+    def test_batches_match_per_tau_evaluation(self):
+        # A grid of a little more than two batches, checked at and across the
+        # batch boundaries against per-tau evolution and the mixed-state path.
+        n, label = 4, "1001"
+        step = 0.01
+        cfg = SweepConfig(n, label, tau_end=(2 * EVOLVE_BATCH + 2) * step, tau_step=step,
+                          quantities=(MEBD, E1_FIXED, E_TILDE))
+        taus = cfg.grid()
+        assert len(taus) > 2 * EVOLVE_BATCH
+        records = run_sweep(cfg)
+        batched = list(evolve(n, label, taus))
+        fixed = default_fixed_bipartition(n)
+        for i in (0, EVOLVE_BATCH - 1, EVOLVE_BATCH, EVOLVE_BATCH + 1,
+                  2 * EVOLVE_BATCH - 1, 2 * EVOLVE_BATCH, len(taus) - 1):
+            (psi,) = evolve(n, label, [taus[i]])
+            assert np.max(np.abs(batched[i] - psi)) < 1e-13
+            rho = np.outer(psi, psi.conj())
+            got = records[i].values
+            assert records[i].tau == taus[i]
+            assert abs(got[MEBD] - mebd(rho).value) < 1e-12
+            assert abs(got[E1_FIXED] - lower_estimate_1(rho, fixed)) < 1e-12
+            assert abs(got[E_TILDE] - single_node_witness(rho)) < 1e-12
 
     def test_estimator_ordering_pointwise(self):
         cfg = SweepConfig(4, "1001", tau_end=3.0, tau_step=0.1,

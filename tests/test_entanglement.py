@@ -13,6 +13,7 @@ from mebd.entanglement import (
     max_level,
     mebd,
     pairwise_negativity,
+    pure_double_negativity,
     single_node_witness,
 )
 from mebd.errors import BadLevel, BadPartition, BadSize
@@ -256,7 +257,8 @@ class TestHierarchyOfNegativities:
 
 @st.composite
 def sector_cases(draw):
-    """A sector state on N=2..7 sites, an optional keep-set, and any split of what is kept."""
+    """A sector state on N=2..7 sites, an optional keep-set, any split of what is kept,
+    and any split of the whole register."""
     n = draw(st.integers(2, 7))
     k = draw(st.integers(0, n))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -265,21 +267,34 @@ def sector_cases(draw):
         st.sampled_from([m for m in range(1, full) if bin(m).count("1") >= 2]))
     kept = bin(keep).count("1")
     mask_a = draw(st.integers(1, (1 << kept) - 2))
-    return n, k, seed, keep, mask_a
+    mask_full = draw(st.integers(1, full - 1))
+    return n, k, seed, keep, mask_a, mask_full
+
+
+def random_product_state(rng, n):
+    psi = np.ones(1)
+    for _ in range(n):
+        psi = np.kron(psi, random_pure_state(rng, 2))
+    return psi
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(sector_cases())
 def test_fast_path_matches_dense_oracle(case):
-    n, k, seed, keep, mask_a = case
-    psi = random_sector_state(np.random.default_rng(seed), n, k)
+    n, k, seed, keep, mask_a, mask_full = case
+    rng = np.random.default_rng(seed)
+    psi = random_sector_state(rng, n, k)
     rho = partial_trace(pure_density(psi), SiteSet(n, keep))
     p = Bipartition.from_masks(SiteSet(n, keep).size(), mask_a)
     value = double_negativity(rho, p)
     assert abs(value - linalg.negative_sum(partial_transpose(rho, p.part_a))) < 1e-9
-    if keep == (1 << n) - 1:
-        # Pure state: (sum of Schmidt coefficients)^2 - 1 across the split.
-        axes = [s - 1 for s in p.part_a.sites() + p.part_b.sites()]
-        m = psi.reshape((2,) * n).transpose(axes).reshape(1 << p.part_a.size(), -1)
-        schmidt = np.linalg.svd(m, compute_uv=False)
-        assert abs(value - (schmidt.sum() ** 2 - 1)) < 1e-9
+
+    # Pure states: the Schmidt kernel on a stack (sector, generic, product)
+    # against the dense partial-transpose oracle of each state.
+    p = Bipartition.from_masks(n, mask_full)
+    stack = np.array([psi, random_pure_state(rng, 1 << n), random_product_state(rng, n)])
+    values = pure_double_negativity(stack, p)
+    for state, got in zip(stack[:2], values):
+        dense = linalg.negative_sum(partial_transpose(pure_density(state), p.part_a))
+        assert abs(got - dense) < 1e-9
+    assert values[2] == 0.0
