@@ -7,7 +7,9 @@ level-k estimators bracket it from above and below.
 
 There is one kernel per kind of state: pure states use their Schmidt values
 (pure_double_negativity, batched over a stack of states), mixed reduced states
-use the partial transpose (double_negativity).
+use the partial transpose (double_negativity).  Each public function that
+takes a density matrix checks it once (linalg.check_hermitian: NotHermitian,
+or ValueError for NaN/Inf entries); the per-split kernels behind them do not.
 """
 
 from __future__ import annotations
@@ -122,17 +124,22 @@ def _sector_labels(n_sites: int, subset: SiteSet) -> np.ndarray:
     return _sector_labels_for_mask(n_sites, subset.mask)
 
 
+def _split_negativity(rho: np.ndarray, p: Bipartition) -> float:
+    """double_negativity of an already validated rho."""
+    pt = partial_transpose(rho, p.part_a)
+    w = _blocked_spectrum(pt, _sector_labels(p.n_sites, p.part_a))
+    if w is None:
+        return linalg.negative_sum(pt)
+    return linalg.negative_sum_of_eigenvalues(w)
+
+
 def double_negativity(rho: np.ndarray, p: Bipartition) -> float:
     """2 |sum of negative eigenvalues| of rho^{T_A} for the split p = A|B.
 
     States that conserve I_z have a block-diagonal partial transpose, solved
     block by block; any other state falls back to the dense eigensolve.
     """
-    pt = partial_transpose(rho, p.part_a)
-    w = _blocked_spectrum(pt, _sector_labels(p.n_sites, p.part_a))
-    if w is None:
-        return linalg.negative_sum(pt)
-    return linalg.negative_sum_of_eigenvalues(w)
+    return _split_negativity(linalg.check_hermitian(rho), p)
 
 
 def schmidt_matrices(psis: np.ndarray, p: Bipartition) -> np.ndarray:
@@ -159,8 +166,19 @@ def pure_double_negativity(psis: np.ndarray, p: Bipartition) -> np.ndarray:
     return 2.0 * np.where(prod > linalg.ZERO_EIGENVALUE_TOL, prod, 0.0).sum(axis=(1, 2))
 
 
+def _reduced_negativity(rho: np.ndarray, a: SiteSet, b: SiteSet) -> float:
+    """Negativity between disjoint site sets a and b after reducing rho onto their union."""
+    keep = SiteSet(a.n_sites, a.mask | b.mask)
+    reduced = partial_trace(rho, keep)
+    # Relabel a's sites inside the reduced register (kept sites stay ordered).
+    kept = keep.sites()
+    local_a = SiteSet.from_sites(len(kept), (kept.index(s) + 1 for s in a.sites()))
+    return _split_negativity(reduced, Bipartition(local_a, local_a.complement()))
+
+
 def pairwise_negativity(rho: np.ndarray, parts: list[SiteSet], i: int, j: int) -> float:
     """Double negativity between parts[i] and parts[j] after tracing out the rest."""
+    rho = linalg.check_hermitian(rho)
     n = n_sites_of(rho)
     if i == j:
         raise BadPartition("i and j must differ")
@@ -173,65 +191,41 @@ def pairwise_negativity(rho: np.ndarray, parts: list[SiteSet], i: int, j: int) -
         union |= p.mask
     if union != (1 << n) - 1:
         raise BadPartition("parts do not cover the register")
-    a, b = parts[i], parts[j]
-    keep = SiteSet(n, a.mask | b.mask)
-    reduced = partial_trace(rho, keep)
-    # Relabel a's sites inside the reduced register (kept sites stay ordered).
-    kept = keep.sites()
-    local_a = SiteSet.from_sites(len(kept), (kept.index(s) + 1 for s in a.sites()))
-    p = Bipartition(local_a, local_a.complement())
-    return double_negativity(reduced, p)
+    return _reduced_negativity(rho, parts[i], parts[j])
 
 
-def mebd(rho: np.ndarray) -> MebdResult:
-    """Minimum double negativity over every bipartition of the register."""
-    n = n_sites_of(rho)
-    family = enumerate_bipartitions(n)
-    values = [double_negativity(rho, p) for p in family.partitions]
+def _mebd(rho: np.ndarray) -> MebdResult:
+    """mebd of an already validated rho."""
+    family = enumerate_bipartitions(n_sites_of(rho))
+    values = [_split_negativity(rho, p) for p in family.partitions]
     per = dict(zip(family.partitions, values))
     best = min(range(len(values)), key=lambda k: values[k])
     return MebdResult(value=values[best], argmin=family.partitions[best], per_partition=per)
 
 
+def mebd(rho: np.ndarray) -> MebdResult:
+    """Minimum double negativity over every bipartition of the register."""
+    return _mebd(linalg.check_hermitian(rho))
+
+
 def single_node_witness(rho: np.ndarray) -> float:
     """Min over sites of the one-site-versus-rest double negativity (upper bound on MEBD)."""
+    rho = linalg.check_hermitian(rho)
     n = n_sites_of(rho)
     if n < 2:
         raise BadSize("need at least 2 sites")
     vals = []
     for s in range(1, n + 1):
         a = SiteSet.from_sites(n, [s])
-        vals.append(double_negativity(rho, Bipartition(a, a.complement())))
+        vals.append(_split_negativity(rho, Bipartition(a, a.complement())))
     return min(vals)
-
-
-def _sub_bipartitions(sites: tuple[int, ...]):
-    """Canonical splits of an explicit site tuple into two nonempty halves."""
-    first = sites[0]
-    rest = sites[1:]
-    for mask in range(1 << len(rest)):
-        a = (first,) + tuple(s for k, s in enumerate(rest) if mask >> k & 1)
-        b = tuple(s for k, s in enumerate(rest) if not mask >> k & 1)
-        if b:
-            yield a, b
-
-
-def _cross_negativity(rho: np.ndarray, sites_a: tuple[int, ...],
-                      sites_b: tuple[int, ...]) -> float:
-    """Negativity between two site groups after reducing onto their union."""
-    n = n_sites_of(rho)
-    parts = [SiteSet.from_sites(n, sites_a), SiteSet.from_sites(n, sites_b)]
-    leftover = SiteSet(n, (1 << n) - 1 - parts[0].mask - parts[1].mask)
-    if leftover.mask:
-        parts.append(leftover)
-    return pairwise_negativity(rho, parts, 0, 1)
 
 
 def mebd_of_subsystem(rho: np.ndarray, sites: tuple[int, ...]) -> float:
     """MEBD of the reduced state on the given sites of the full register."""
+    rho = linalg.check_hermitian(rho)
     n = n_sites_of(rho)
-    reduced = partial_trace(rho, SiteSet.from_sites(n, sites))
-    return mebd(reduced).value
+    return _mebd(partial_trace(rho, SiteSet.from_sites(n, sites))).value
 
 
 def lower_estimate_1(rho: np.ndarray, j: Bipartition) -> float:
@@ -240,12 +234,11 @@ def lower_estimate_1(rho: np.ndarray, j: Bipartition) -> float:
     Single-site parts have no internal decomposition; their MEBD term is
     omitted from the min.
     """
-    sa, sb = j.part_a.sites(), j.part_b.sites()
-    terms = [_cross_negativity(rho, sa, sb)]
-    if len(sa) >= 2:
-        terms.append(mebd_of_subsystem(rho, sa))
-    if len(sb) >= 2:
-        terms.append(mebd_of_subsystem(rho, sb))
+    rho = linalg.check_hermitian(rho)
+    terms = [_reduced_negativity(rho, j.part_a, j.part_b)]
+    for part in (j.part_a, j.part_b):
+        if part.size() >= 2:
+            terms.append(_mebd(partial_trace(rho, part)).value)
     return min(terms)
 
 
@@ -254,41 +247,61 @@ def max_level(n_sites: int) -> int:
     return max(1, n_sites - 2)
 
 
+def _split_table(rho: np.ndarray) -> dict[int, dict[int, float]]:
+    """Double negativity of every split of every reduced state with two or more sites.
+
+    Row S (a site bitmask) is mebd(partial_trace(rho, S)).per_partition, keyed
+    by the bitmask of the part A that holds S's first site: table[S][A] is
+    N_{A, S-A} on rho_S.  Each rho_S is traced from rho once.
+    """
+    n = n_sites_of(rho)
+    table = {}
+    for mask in range(1, 1 << n):
+        keep = SiteSet(n, mask)
+        sites = keep.sites()
+        if len(sites) < 2:
+            continue
+        per = _mebd(partial_trace(rho, keep)).per_partition
+        table[mask] = {
+            SiteSet.from_sites(n, (sites[k - 1] for k in p.part_a.sites())).mask: value
+            for p, value in per.items()
+        }
+    return table
+
+
 def lower_estimate_level(rho: np.ndarray, level: int) -> float:
     """Level-k lower estimator of MEBD.
 
     Level 0 is exact MEBD; level k replaces each subsystem MEBD by that
     subsystem's level-(k-1) estimate and maximizes over all decomposition
-    choices.  Non-increasing in k.
+    choices.  Non-increasing in k.  One call builds the table of every
+    split negativity of every reduced state once (_split_table) and runs the
+    recursion over its numbers.
     """
+    rho = linalg.check_hermitian(rho)
     n = n_sites_of(rho)
+    if n < 2:
+        raise BadSize(f"need at least 2 sites, got {n}")
     if not 1 <= level <= max_level(n):
         raise BadLevel(f"level must be 1..{max_level(n)} for {n} sites, got {level}")
 
-    reduced_cache: dict[tuple[int, ...], np.ndarray] = {}
-    value_cache: dict[tuple[tuple[int, ...], int], float] = {}
+    table = _split_table(rho)
+    memo: dict[tuple[int, int], float] = {}
 
-    def reduced(sites: tuple[int, ...]) -> np.ndarray:
-        if sites not in reduced_cache:
-            reduced_cache[sites] = partial_trace(rho, SiteSet.from_sites(n, sites))
-        return reduced_cache[sites]
-
-    def estimate(sites: tuple[int, ...], lev: int) -> float:
-        # E^(lev) of the reduced state on `sites`; +inf for single sites.
-        if len(sites) == 1:
+    def estimate(mask: int, lev: int) -> float:
+        # E^(lev) of the reduced state on the sites of mask; +inf for single sites.
+        row = table.get(mask)
+        if row is None:
             return math.inf
-        key = (sites, lev)
-        if key in value_cache:
-            return value_cache[key]
-        if lev == 0:
-            val = mebd(reduced(sites)).value
-        else:
-            val = 0.0
-            for sa, sb in _sub_bipartitions(sites):
-                cross = _cross_negativity(rho, sa, sb)
-                cand = min(estimate(sa, lev - 1), estimate(sb, lev - 1), cross)
-                val = max(val, cand)
-        value_cache[key] = val
-        return val
+        key = (mask, lev)
+        if key not in memo:
+            if lev == 0:
+                memo[key] = min(row.values())
+            else:
+                val = 0.0
+                for a, cross in row.items():
+                    val = max(val, min(estimate(a, lev - 1), estimate(mask ^ a, lev - 1), cross))
+                memo[key] = val
+        return memo[key]
 
-    return estimate(tuple(range(1, n + 1)), level)
+    return estimate((1 << n) - 1, level)

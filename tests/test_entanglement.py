@@ -1,10 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mebd import linalg
+from mebd import dynamics, entanglement, linalg
 from mebd.entanglement import (
     double_negativity,
     enumerate_bipartitions,
@@ -12,12 +13,20 @@ from mebd.entanglement import (
     lower_estimate_level,
     max_level,
     mebd,
+    mebd_of_subsystem,
     pairwise_negativity,
     pure_double_negativity,
     single_node_witness,
 )
-from mebd.errors import BadLevel, BadPartition, BadSize
-from mebd.hilbert import Bipartition, SiteSet, partial_trace, partial_transpose, pure_density
+from mebd.errors import BadLevel, BadPartition, BadSize, NotHermitian
+from mebd.hilbert import (
+    Bipartition,
+    SiteSet,
+    n_sites_of,
+    partial_trace,
+    partial_transpose,
+    pure_density,
+)
 
 from conftest import bell_state, ghz_state, random_pure_state, random_sector_state, w_state
 
@@ -229,6 +238,60 @@ class TestLowerEstimateLevel:
         with pytest.raises(BadLevel):
             lower_estimate_level(rho, max_level(3) + 1)
 
+    def test_single_site_register(self):
+        with pytest.raises(BadSize):
+            lower_estimate_level(np.eye(2) / 2, 1)
+
+    def test_each_reduced_state_and_split_computed_once(self, monkeypatch):
+        # N=7: 120 reduced states with two or more sites, 966 splits among them.
+        (psi,) = dynamics.evolve(7, "1001100", [1.3])
+        rho = np.outer(psi, psi.conj())
+        counts = {"partial_trace": 0, "partial_transpose": 0}
+
+        def counted(name):
+            fn = getattr(entanglement, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(entanglement, name, counted(name))
+        for level in range(1, max_level(7) + 1):
+            counts.update(partial_trace=0, partial_transpose=0)
+            lower_estimate_level(rho, level)
+            assert counts == {"partial_trace": 120, "partial_transpose": 966}
+
+
+def _bad_state(kind):
+    # A sector state spoiled inside its I_z block, where the blocked
+    # eigensolve cannot see it.
+    rho = pure_density("0110")
+    if kind == "non_hermitian":
+        rho[5, 6] += 0.3
+    else:
+        rho[5, 6] = np.nan
+    return rho
+
+
+@pytest.mark.parametrize("kind", ["non_hermitian", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda rho: double_negativity(rho, split(4, [1, 2])),
+    mebd,
+    single_node_witness,
+    lambda rho: pairwise_negativity(
+        rho, [SiteSet.from_sites(4, [1, 2]), SiteSet.from_sites(4, [3, 4])], 0, 1),
+    lambda rho: mebd_of_subsystem(rho, (2, 3)),
+    lambda rho: lower_estimate_1(rho, split(4, [1, 2])),
+    lambda rho: lower_estimate_level(rho, 1),
+], ids=["double_negativity", "mebd", "single_node_witness", "pairwise_negativity",
+        "mebd_of_subsystem", "lower_estimate_1", "lower_estimate_level"])
+def test_bad_density_matrix_rejected(call, kind):
+    with pytest.raises((NotHermitian, ValueError)):
+        call(_bad_state(kind))
+
 
 class TestHierarchyOfNegativities:
     def test_nested_groupings_on_random_states(self, rng):
@@ -298,3 +361,53 @@ def test_fast_path_matches_dense_oracle(case):
         dense = linalg.negative_sum(partial_transpose(pure_density(state), p.part_a))
         assert abs(got - dense) < 1e-9
     assert values[2] == 0.0
+
+
+def _sub_bipartitions(sites):
+    """Canonical splits of a site tuple: the first site in a, both halves nonempty."""
+    first, rest = sites[0], sites[1:]
+    for mask in range(1 << len(rest)):
+        a = (first,) + tuple(s for k, s in enumerate(rest) if mask >> k & 1)
+        b = tuple(s for k, s in enumerate(rest) if not mask >> k & 1)
+        if b:
+            yield a, b
+
+
+def reference_ladder(rho):
+    """E^(k), k = 1..max_level(N), straight from the recursion's definition.
+
+    Each cross negativity comes from pairwise_negativity and each E^(0) from
+    mebd of a partial trace of the full state.
+    """
+    n = n_sites_of(rho)
+
+    @functools.cache
+    def estimate(sites, lev):
+        if len(sites) == 1:
+            return math.inf
+        if lev == 0:
+            return mebd(partial_trace(rho, SiteSet.from_sites(n, sites))).value
+        val = 0.0
+        for sa, sb in _sub_bipartitions(sites):
+            parts = [SiteSet.from_sites(n, sa), SiteSet.from_sites(n, sb)]
+            rest = SiteSet(n, (1 << n) - 1 - parts[0].mask - parts[1].mask)
+            if rest.mask:
+                parts.append(rest)
+            cross = pairwise_negativity(rho, parts, 0, 1)
+            val = max(val, min(estimate(sa, lev - 1), estimate(sb, lev - 1), cross))
+        return val
+
+    return [estimate(tuple(range(1, n + 1)), k) for k in range(1, max_level(n) + 1)]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.booleans(), st.integers(0, 2**32 - 1))
+def test_ladder_matches_reference_recursion(n, sector, seed):
+    rng = np.random.default_rng(seed)
+    if sector:
+        psi = random_sector_state(rng, n, int(rng.integers(0, n + 1)))
+    else:
+        psi = random_pure_state(rng, 1 << n)
+    rho = pure_density(psi)
+    ladder = [lower_estimate_level(rho, k) for k in range(1, max_level(n) + 1)]
+    assert ladder == reference_ladder(rho)
