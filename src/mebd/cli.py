@@ -7,6 +7,7 @@ Exit codes: 2 bad flags/arguments, 3 numerical failure, 4 calibration breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -14,7 +15,7 @@ import time
 from . import __version__, dynamics, entanglement
 from .errors import MebdError, NoMaximumFound
 from .hilbert import Bipartition, SiteSet
-from .model import CouplingKind, CouplingProfile
+from .model import CouplingKind
 from .dynamics import MEBD, PER_PARTITION, SweepConfig
 
 EXIT_BAD_FLAGS = 2
@@ -31,11 +32,6 @@ REFERENCE_MAXIMA = {
     8: ("10011001", 2.193, 0.988),
 }
 REFERENCE_TOL = 0.01
-
-PROFILE_NAMES = {
-    "all-pairs": CouplingKind.ALL_PAIRS_DIPOLAR,
-    "nearest-neighbor": CouplingKind.NEAREST_NEIGHBOR,
-}
 
 
 def _err(msg: str) -> None:
@@ -59,51 +55,58 @@ def parse_partition(spec: str, n_sites: int) -> Bipartition:
     return Bipartition(a, b)
 
 
+def _config_default(action: argparse.Action, key: str, val):
+    """A config value as its flag would read it from the command line.
+
+    A flag that takes no value (store-true) takes only a JSON bool; any other
+    flag takes a string or number, converted by the flag's own type.
+    """
+    if action.nargs == 0:
+        if isinstance(val, bool):
+            return val
+    elif isinstance(val, (str, int, float)) and not isinstance(val, bool):
+        with contextlib.suppress(ValueError):
+            out = (action.type or str)(str(val))
+            if action.choices is None or out in action.choices:
+                return out
+    raise ValueError(f"config key {key!r} has an invalid value {val!r}")
+
+
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                   argv: list[str] | None) -> argparse.Namespace:
     """Re-parse argv with a JSON config file's keys as the subcommand's defaults.
 
     Keys are flag names, with dashes or underscores; flags given on the
-    command line still win.  A key that is not a flag of the subcommand fails.
+    command line still win.  A key that is not a flag of the subcommand, or
+    whose value the flag cannot take, fails.
     """
     with open(args.config) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    flags = set(vars(args)) - {"command", "func", "subcommands", "config"}
+    sub = args.subcommands[args.command]
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     defaults = {}
     for key, val in data.items():
-        dest = key.replace("-", "_")
-        if dest not in flags:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"unknown config key {key!r} for '{args.command}'")
-        defaults[dest] = val
-    args.subcommands[args.command].set_defaults(**defaults)
+        defaults[action.dest] = _config_default(action, key, val)
+    sub.set_defaults(**defaults)
     return parser.parse_args(argv)
 
 
-GRID_DEFAULTS = {"tau_min": 0.0, "tau_max": 4.0, "tau_step": 0.005,
-                 "quantities": "mebd,e1_fixed,e_tilde", "profile": "all-pairs"}
-
-
-def _resolved(args: argparse.Namespace, attr: str):
-    val = getattr(args, attr, None)
-    return GRID_DEFAULTS[attr] if val is None else val
-
-
 def _sweep_config(args: argparse.Namespace) -> SweepConfig:
-    kind = PROFILE_NAMES[_resolved(args, "profile")]
-    raw = _resolved(args, "quantities")
-    quantities = tuple(raw.split(",")) if isinstance(raw, str) else tuple(raw)
-    quantities = tuple(q.strip().replace("-", "_") for q in quantities if q.strip())
-    e1_spec = getattr(args, "e1_partition", None)
-    fixed = parse_partition(e1_spec, args.n) if e1_spec else None
+    quantities = tuple(q.strip().replace("-", "_")
+                       for q in args.quantities.split(",") if q.strip())
+    fixed = parse_partition(args.e1_partition, args.n) if args.e1_partition else None
     return SweepConfig(
         n_sites=args.n,
         initial_label=args.init,
-        profile=CouplingProfile(kind, args.n),
-        tau_start=float(_resolved(args, "tau_min")),
-        tau_end=float(_resolved(args, "tau_max")),
-        tau_step=float(_resolved(args, "tau_step")),
+        profile=CouplingKind(args.profile),
+        tau_start=args.tau_min,
+        tau_end=args.tau_max,
+        tau_step=args.tau_step,
         quantities=quantities,
         fixed_bipartition=fixed,
     )
@@ -114,7 +117,7 @@ def _manifest(cfg: SweepConfig, wall: float) -> dict:
         "config": {
             "n_sites": cfg.n_sites,
             "initial_label": cfg.initial_label,
-            "profile": cfg.resolved_profile().kind.value,
+            "profile": cfg.profile.value,
             "tau_start": cfg.tau_start,
             "tau_end": cfg.tau_end,
             "tau_step": cfg.tau_step,
@@ -122,7 +125,7 @@ def _manifest(cfg: SweepConfig, wall: float) -> dict:
         },
         "code_version": __version__,
         "wall_time_seconds": wall,
-        "profile_used": cfg.resolved_profile().kind.value,
+        "profile_used": cfg.profile.value,
     }
 
 
@@ -141,8 +144,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     columns = [q for q in (dynamics.MEBD, dynamics.E1_FIXED, dynamics.E_TILDE)
                if q in cfg.quantities]
     if PER_PARTITION in cfg.quantities:
-        family = entanglement.enumerate_bipartitions(cfg.n_sites)
-        columns += [f"p_{p.label()}" for p in family.partitions]
+        columns += [f"p_{p.label()}" for p in entanglement.enumerate_bipartitions(cfg.n_sites)]
 
     lines = ["tau," + ",".join(columns)]
     for rec in records:
@@ -176,7 +178,7 @@ def _sweep_diagnostics(records, cfg: SweepConfig) -> dict:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    kind = PROFILE_NAMES[_resolved(args, "profile")]
+    kind = CouplingKind(args.profile)
     n_list = [int(s) for s in args.n_list.split(",")] if args.n_list else [3, 4, 6, 8]
     for n in n_list:
         if n not in REFERENCE_MAXIMA:
@@ -190,7 +192,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         cfg = SweepConfig(
             n_sites=n,
             initial_label=init,
-            profile=CouplingProfile(kind, n),
+            profile=kind,
             quantities=(MEBD,),
             **grid,
         )
@@ -251,8 +253,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_negativity(args: argparse.Namespace) -> int:
     partition = parse_partition(args.partition, args.n)
-    profile = CouplingProfile(PROFILE_NAMES[_resolved(args, "profile")], args.n)
-    psi = next(dynamics.evolve(args.n, args.init, [args.tau], profile))
+    psi = next(dynamics.evolve(args.n, args.init, [args.tau], CouplingKind(args.profile)))
     value = float(entanglement.pure_double_negativity(psi[None], partition)[0])
     if args.json:
         print(json.dumps({"tau": args.tau, "partition": partition.label(),
@@ -286,17 +287,17 @@ def _add_common_flags(p: argparse.ArgumentParser, need_init: bool = True) -> Non
     p.add_argument("--n", type=int, required=False, help="chain length")
     if need_init:
         p.add_argument("--init", type=str, help="initial basis label, e.g. 1001")
-    p.add_argument("--profile", choices=sorted(PROFILE_NAMES), default=None)
+    p.add_argument("--profile", choices=[k.value for k in CouplingKind], default="all-pairs")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--out", type=str, default=None, help="output file path")
     p.add_argument("--config", type=str, default=None, help="JSON config file (same keys as flags)")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau-min", type=float, default=None)
-    p.add_argument("--tau-max", type=float, default=None)
-    p.add_argument("--tau-step", type=float, default=None)
-    p.add_argument("--quantities", default=None,
+    p.add_argument("--tau-min", type=float, default=0.0)
+    p.add_argument("--tau-max", type=float, default=4.0)
+    p.add_argument("--tau-step", type=float, default=0.005)
+    p.add_argument("--quantities", default="mebd,e1_fixed,e_tilde",
                    help="comma list from: mebd,e1_fixed,e_tilde,per-partition")
     p.add_argument("--e1-partition", default=None,
                    help="fixed split for e1_fixed, e.g. 1,2,3,4|5,6 "

@@ -17,7 +17,7 @@ import numpy as np
 from . import entanglement, linalg
 from .errors import GridTooLarge, NoMaximumFound
 from .hilbert import Bipartition, SiteSet, basis_index, excitation_sector
-from .model import CouplingKind, CouplingProfile, build_hdz
+from .model import CouplingKind, build_hdz
 
 MAX_GRID_POINTS = 100_000
 # Grid points evolved per matrix product; bounds the memory of long grids.
@@ -40,7 +40,7 @@ def default_fixed_bipartition(n_sites: int) -> Bipartition:
 class SweepConfig:
     n_sites: int
     initial_label: str
-    profile: CouplingProfile | None = None
+    profile: CouplingKind = CouplingKind.ALL_PAIRS_DIPOLAR
     tau_start: float = 0.0
     tau_end: float = 4.0
     tau_step: float = 0.005
@@ -55,6 +55,8 @@ class SweepConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0 <= self.tau_start < self.tau_end) or self.tau_step <= 0:
             raise ValueError("need 0 <= tau_start < tau_end and tau_step > 0")
+        if not self.quantities:
+            raise ValueError("quantities must name at least one quantity")
         for q in self.quantities:
             if q not in KNOWN_QUANTITIES:
                 raise ValueError(f"unknown quantity {q!r}")
@@ -66,11 +68,6 @@ class SweepConfig:
     def grid(self) -> np.ndarray:
         n = int(math.floor((self.tau_end - self.tau_start) / self.tau_step + 1e-9)) + 1
         return self.tau_start + self.tau_step * np.arange(n)
-
-    def resolved_profile(self) -> CouplingProfile:
-        if self.profile is not None:
-            return self.profile
-        return CouplingProfile(CouplingKind.ALL_PAIRS_DIPOLAR, self.n_sites)
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,7 @@ class MaximumReport:
 
 
 def _evolve_batches(n_sites: int, initial_label: str, taus: Iterable[float],
-                    profile: CouplingProfile | None = None
+                    profile: CouplingKind = CouplingKind.ALL_PAIRS_DIPOLAR
                     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (taus, psis) for consecutive batches of up to EVOLVE_BATCH grid points.
 
@@ -95,24 +92,24 @@ def _evolve_batches(n_sites: int, initial_label: str, taus: Iterable[float],
     """
     if len(initial_label) != n_sites:
         raise ValueError("initial label length != n_sites")
-    ham = build_hdz(n_sites, profile or CouplingKind.ALL_PAIRS_DIPOLAR)
+    h = build_hdz(n_sites, profile)
     start = basis_index(initial_label)
     sector = excitation_sector(n_sites, initial_label.count("1"))
-    spec = linalg.hermitian_eig(ham.matrix[np.ix_(sector, sector)].real)
-    c0 = spec.vectors[sector.index(start)]
+    w, v = linalg.hermitian_eig(h[np.ix_(sector, sector)])
+    c0 = v[sector.index(start)]
     taus = iter(taus)
     while (batch := np.fromiter(itertools.islice(taus, EVOLVE_BATCH), np.float64)).size:
         bad = batch[~np.isfinite(batch)]
         if bad.size:
             raise ValueError(f"tau must be finite, got {bad[0]}")
-        amps = spec.vectors @ (np.exp(-1j * np.outer(spec.eigenvalues, batch)) * c0[:, None])
+        amps = v @ (np.exp(-1j * np.outer(w, batch)) * c0[:, None])
         psis = np.zeros((batch.size, 1 << n_sites), dtype=np.complex128)
         psis[:, sector] = amps.T
         yield batch, psis
 
 
 def evolve(n_sites: int, initial_label: str, taus: Iterable[float],
-           profile: CouplingProfile | None = None) -> Iterator[np.ndarray]:
+           profile: CouplingKind = CouplingKind.ALL_PAIRS_DIPOLAR) -> Iterator[np.ndarray]:
     """Yield psi(tau) = e^{-iH tau} |initial_label> for each tau, in order.
 
     H (all-pairs dipolar unless a profile is given) is eigendecomposed once,
@@ -137,7 +134,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     q = cfg.quantities
     fixed = cfg.fixed_bipartition or default_fixed_bipartition(cfg.n_sites)
     fixed_mask = fixed.part_a.mask if fixed.part_a.mask & 1 else fixed.part_b.mask
-    splits = [p for p in entanglement.enumerate_bipartitions(cfg.n_sites).partitions
+    splits = [p for p in entanglement.enumerate_bipartitions(cfg.n_sites)
               if MEBD in q or PER_PARTITION in q or (E_TILDE in q and _is_one_site(p))
               or (E1_FIXED in q and p.part_a.mask == fixed_mask)]
     one_site = [j for j, p in enumerate(splits) if _is_one_site(p)]

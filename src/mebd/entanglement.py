@@ -37,19 +37,13 @@ BLOCK_LEAK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class PartitionFamily:
-    n_sites: int
-    partitions: tuple[Bipartition, ...]
-
-
-@dataclass(frozen=True)
 class MebdResult:
     value: float
     argmin: Bipartition
     per_partition: dict[Bipartition, float]
 
 
-def enumerate_bipartitions(n_sites: int) -> PartitionFamily:
+def enumerate_bipartitions(n_sites: int) -> tuple[Bipartition, ...]:
     """All canonical bipartitions: site 1 in part_a, A<->B duplicates removed.
 
     Ordered by ascending part_a mask, which fixes argmin tie-breaking.
@@ -63,7 +57,7 @@ def enumerate_bipartitions(n_sites: int) -> PartitionFamily:
         if mask & 1
     )
     assert len(parts) == (1 << (n_sites - 1)) - 1
-    return PartitionFamily(n_sites=n_sites, partitions=parts)
+    return parts
 
 
 def _block_eigvalsh(block: np.ndarray) -> np.ndarray:
@@ -196,11 +190,10 @@ def pairwise_negativity(rho: np.ndarray, parts: list[SiteSet], i: int, j: int) -
 
 def _mebd(rho: np.ndarray) -> MebdResult:
     """mebd of an already validated rho."""
-    family = enumerate_bipartitions(n_sites_of(rho))
-    values = [_split_negativity(rho, p) for p in family.partitions]
-    per = dict(zip(family.partitions, values))
-    best = min(range(len(values)), key=lambda k: values[k])
-    return MebdResult(value=values[best], argmin=family.partitions[best], per_partition=per)
+    parts = enumerate_bipartitions(n_sites_of(rho))
+    values = [_split_negativity(rho, p) for p in parts]
+    best = min(range(len(values)), key=values.__getitem__)
+    return MebdResult(values[best], parts[best], dict(zip(parts, values)))
 
 
 def mebd(rho: np.ndarray) -> MebdResult:
@@ -219,13 +212,6 @@ def single_node_witness(rho: np.ndarray) -> float:
         a = SiteSet.from_sites(n, [s])
         vals.append(_split_negativity(rho, Bipartition(a, a.complement())))
     return min(vals)
-
-
-def mebd_of_subsystem(rho: np.ndarray, sites: tuple[int, ...]) -> float:
-    """MEBD of the reduced state on the given sites of the full register."""
-    rho = linalg.check_hermitian(rho)
-    n = n_sites_of(rho)
-    return _mebd(partial_trace(rho, SiteSet.from_sites(n, sites))).value
 
 
 def lower_estimate_1(rho: np.ndarray, j: Bipartition) -> float:

@@ -42,10 +42,6 @@ class SiteSet:
             mask |= 1 << (s - 1)
         return cls(n_sites, mask)
 
-    @classmethod
-    def full(cls, n_sites: int) -> "SiteSet":
-        return cls(n_sites, (1 << n_sites) - 1)
-
     def sites(self) -> tuple[int, ...]:
         """1-based site numbers, ascending."""
         return tuple(i + 1 for i in range(self.n_sites) if self.mask >> i & 1)
@@ -89,9 +85,6 @@ class Bipartition:
         fmt = lambda ss: ".".join(str(s) for s in ss.sites())
         return f"{fmt(self.part_a)}|{fmt(self.part_b)}"
 
-    def swapped(self) -> "Bipartition":
-        return Bipartition(self.part_b, self.part_a)
-
 
 def _validate_label(label: str) -> str:
     if not label or any(c not in "01" for c in label):
@@ -104,13 +97,6 @@ def _validate_label(label: str) -> str:
 def basis_index(label: str) -> int:
     """Basis index of |n_1 ... n_N>; site 1 is the most significant digit."""
     return int(_validate_label(label), 2)
-
-
-def basis_label(index: int, n_sites: int) -> str:
-    """Inverse of basis_index."""
-    if not 0 <= index < (1 << n_sites):
-        raise BadLabel(f"index {index} out of range for {n_sites} sites")
-    return format(index, f"0{n_sites}b")
 
 
 def site_index_bit(site: int, n_sites: int) -> int:
@@ -141,7 +127,7 @@ def pure_density(state: str | Sequence[complex], n_sites: int | None = None) -> 
         if n & (n - 1) or n < 2:
             raise BadLabel(f"amplitude vector length {n} is not a power of two")
         norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # written so that a NaN norm fails too
             raise NotNormalized(f"|psi| = {norm!r}")
     if n_sites is not None and psi.shape[0] != (1 << n_sites):
         raise BadLabel(f"state dimension {psi.shape[0]} != 2^{n_sites}")

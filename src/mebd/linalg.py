@@ -1,13 +1,11 @@
 """Dense Hermitian kernel: eigendecomposition and negative-spectrum sums.
 
-Everything downstream (Hamiltonian evolution, partial-transpose spectra) is
+Everything downstream (evolution under H, partial-transpose spectra) is
 built on the contracts here.  All functions are pure; arrays are never
 mutated in place.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,22 +35,13 @@ def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SpectralForm:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eig(m: np.ndarray) -> SpectralForm:
-    """Eigendecompose a Hermitian matrix; eigenvalues come out ascending."""
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues ascending, orthonormal eigenvector columns) of a Hermitian matrix."""
     a = check_hermitian(m)
     try:
-        w, v = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    return SpectralForm(eigenvalues=w, vectors=v)
 
 
 def negative_sum(m: np.ndarray) -> float:

@@ -90,6 +90,46 @@ class TestSweepCommand:
         assert key in err
         assert not out
 
+    @pytest.mark.parametrize("key, value", [
+        ("tau_step", [1]), ("tau-max", True), ("n", "x"), ("n", 2.5), ("profile", "bogus"),
+        ("quantities", None), ("json", "no"), ("json", 1)])
+    def test_config_value_of_wrong_type(self, capsys, tmp_path, key, value):
+        # A store-true flag takes only a JSON bool; any other flag a string or
+        # number that its own type accepts, as on the command line.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 2, "init": "10", key: value}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert repr(key) in err
+        assert not out
+
+    def test_config_strings_read_as_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": "2", "init": "10", "tau-max": "0.5",
+                                   "tau_step": 0.25, "profile": "nearest-neighbor"}))
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 0
+        flags = run_cli(capsys, "sweep", "--n", "2", "--init", "10", "--tau-max", "0.5",
+                        "--tau-step", "0.25", "--profile", "nearest-neighbor")
+        assert flags == (0, out, "")
+
+    def test_defaults(self, capsys):
+        # The grid, quantity and profile defaults live on the flags.
+        default = run_cli(capsys, "sweep", "--n", "3", "--init", "010")
+        explicit = run_cli(capsys, "sweep", "--n", "3", "--init", "010",
+                           "--tau-min", "0", "--tau-max", "4", "--tau-step", "0.005",
+                           "--quantities", "mebd,e1_fixed,e_tilde", "--profile", "all-pairs")
+        assert default[0] == 0
+        assert default == explicit
+
+    @pytest.mark.parametrize("quantities", ["", ",", " , "])
+    def test_empty_quantities(self, capsys, quantities):
+        code, out, err = run_cli(capsys, "sweep", "--n", "3", "--init", "010",
+                                 "--quantities", quantities)
+        assert code == 2
+        assert "quantities" in err
+        assert not out
+
     @pytest.mark.parametrize("flag", ["--tau-min", "--tau-max", "--tau-step"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_grid(self, capsys, flag, value):

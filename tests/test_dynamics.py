@@ -22,7 +22,7 @@ from mebd.dynamics import (
 from mebd.entanglement import lower_estimate_1, mebd, single_node_witness
 from mebd.errors import GridTooLarge, NoMaximumFound
 from mebd.hilbert import excitation_sector, pure_density
-from mebd.model import CouplingKind, CouplingProfile, build_hdz
+from mebd.model import CouplingKind, build_hdz
 
 
 class TestSweepConfig:
@@ -38,6 +38,10 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(3, "0101")
 
+    def test_empty_quantities(self):
+        with pytest.raises(ValueError, match="quantities"):
+            SweepConfig(3, "010", quantities=())
+
     def test_fixed_split_on_other_register(self):
         with pytest.raises(ValueError):
             SweepConfig(4, "1001", fixed_bipartition=default_fixed_bipartition(3))
@@ -47,10 +51,10 @@ class TestEvolve:
     def test_matches_taylor_series(self):
         # |10><10| under the 2-site nearest-neighbour chain at tau = pi/2,
         # against a truncated exponential series.
-        profile = CouplingProfile(CouplingKind.NEAREST_NEIGHBOR, 2)
-        h = build_hdz(2, profile).matrix
+        profile = CouplingKind.NEAREST_NEIGHBOR
+        h = build_hdz(2, profile)
         tau = np.pi / 2
-        series = np.zeros_like(h)
+        series = np.zeros_like(h, dtype=np.complex128)
         term = np.eye(4, dtype=np.complex128)
         for k in range(41):
             series += term
@@ -80,7 +84,7 @@ class TestRunSweep:
         # |10> under the nearest-neighbour 2-site chain: the cross
         # negativity is |sin tau|.
         cfg = SweepConfig(2, "10",
-                          profile=CouplingProfile(CouplingKind.NEAREST_NEIGHBOR, 2),
+                          profile=CouplingKind.NEAREST_NEIGHBOR,
                           tau_end=3.0, tau_step=0.1, quantities=(MEBD,))
         for rec in run_sweep(cfg):
             assert abs(rec.values[MEBD] - abs(math.sin(rec.tau))) < 1e-9

@@ -7,7 +7,6 @@ from mebd.hilbert import (
     Bipartition,
     SiteSet,
     basis_index,
-    basis_label,
     excitation_sector,
     partial_trace,
     partial_transpose,
@@ -47,7 +46,7 @@ class TestBasisIndex:
 
     def test_roundtrip(self):
         for i in range(16):
-            assert basis_index(basis_label(i, 4)) == i
+            assert basis_index(format(i, "04b")) == i
 
     def test_bad_label(self):
         with pytest.raises(BadLabel):
@@ -80,11 +79,16 @@ class TestPureDensity:
         with pytest.raises(NotNormalized):
             pure_density(np.array([1.0, 1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NotNormalized):
+            pure_density(np.array([bad, 0.0]))
+
 
 class TestPartialTrace:
     def test_keep_all(self, rng):
         rho = random_density(rng, 8)
-        assert np.array_equal(partial_trace(rho, SiteSet.full(3)), rho)
+        assert np.array_equal(partial_trace(rho, SiteSet(3, 0b111)), rho)
 
     def test_bell_reduces_to_maximally_mixed(self):
         rho = pure_density(bell_state())

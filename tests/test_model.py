@@ -4,26 +4,26 @@ import pytest
 from mebd.dynamics import evolve
 from mebd.errors import BadSize
 from mebd.hilbert import basis_index, pure_density, excitation_sector
-from mebd.model import CouplingKind, CouplingProfile, build_hdz
+from mebd.model import CouplingKind, build_hdz
 
 from conftest import iz_commutator, total_iz
 
 
 class TestCouplingProfile:
     def test_dipolar_decay(self):
-        p = CouplingProfile(CouplingKind.ALL_PAIRS_DIPOLAR, 3)
+        p = CouplingKind.ALL_PAIRS_DIPOLAR
         assert p.coupling(1, 2) == 1.0
         assert p.coupling(1, 3) == 1.0 / 8
 
     def test_nearest_neighbor(self):
-        p = CouplingProfile(CouplingKind.NEAREST_NEIGHBOR, 4)
+        p = CouplingKind.NEAREST_NEIGHBOR
         assert p.coupling(2, 3) == 1.0
         assert p.coupling(1, 3) == 0.0
 
 
 class TestBuildHdz:
     def test_two_site_elements(self):
-        h = build_hdz(2, CouplingKind.NEAREST_NEIGHBOR).matrix
+        h = build_hdz(2, CouplingKind.NEAREST_NEIGHBOR)
         assert abs(h[basis_index("01"), basis_index("10")] - 0.5) < 1e-15
         assert abs(h[basis_index("00"), basis_index("00")] - (-0.5)) < 1e-15
 
@@ -32,23 +32,30 @@ class TestBuildHdz:
                                         (4, CouplingKind.NEAREST_NEIGHBOR)])
     def test_ground_label_diagonal(self, n, kind):
         # <0..0|H|0..0> = -(1/2) sum_{i<j} D_ij from the ZZ term alone
-        ham = build_hdz(n, kind)
-        expected = -0.5 * sum(ham.profile.coupling(i, j)
+        h = build_hdz(n, kind)
+        expected = -0.5 * sum(kind.coupling(i, j)
                               for i in range(1, n + 1) for j in range(i + 1, n + 1))
-        assert abs(ham.matrix[0, 0] - expected) < 1e-12
+        assert abs(h[0, 0] - expected) < 1e-12
 
     def test_hermitian_and_real(self):
-        h = build_hdz(4, CouplingKind.ALL_PAIRS_DIPOLAR).matrix
+        h = build_hdz(4, CouplingKind.ALL_PAIRS_DIPOLAR)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
         assert np.max(np.abs(h.imag)) == 0.0
 
+    @pytest.mark.parametrize("kind", list(CouplingKind))
+    def test_real_float64(self, kind):
+        h = build_hdz(5, kind)
+        assert isinstance(h, np.ndarray)
+        assert h.dtype == np.float64
+        assert h.shape == (32, 32)
+
     def test_commutes_with_iz(self):
         for n in (2, 4, 8):
-            assert iz_commutator(build_hdz(n).matrix) < 1e-12
+            assert iz_commutator(build_hdz(n)) < 1e-12
 
     def test_reflection_symmetry(self):
         n = 5
-        h = build_hdz(n).matrix
+        h = build_hdz(n)
         # permutation that reverses the chain
         perm = np.zeros(1 << n, dtype=int)
         for i in range(1 << n):
@@ -77,7 +84,7 @@ class TestVerifyIzCommutation:
         # The commutator check used by acceptance criterion 6 is not vacuous.
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         perturb = np.kron(sx / 2, np.eye(4, dtype=complex))
-        assert iz_commutator(build_hdz(3).matrix + perturb) > 0.1
+        assert iz_commutator(build_hdz(3) + perturb) > 0.1
 
 
 class TestSectorSupport:
