@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
 
 from . import __version__, dynamics, entanglement
-from .errors import MebdError, NoMaximumFound
+from .errors import GridTooLarge, MebdError, NoMaximumFound
 from .hilbert import Bipartition, SiteSet
 from .model import CouplingKind
 from .dynamics import MEBD, PER_PARTITION, SweepConfig
@@ -283,13 +284,16 @@ def cmd_first_max(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_flags(p: argparse.ArgumentParser, need_init: bool = True) -> None:
-    p.add_argument("--n", type=int, required=False, help="chain length")
-    if need_init:
+def _add_common_flags(p: argparse.ArgumentParser, chain=True, json_flag=True, out=False) -> None:
+    """The flags shared among subcommands; each subcommand takes only those it reads."""
+    if chain:
+        p.add_argument("--n", type=int, required=False, help="chain length")
         p.add_argument("--init", type=str, help="initial basis label, e.g. 1001")
     p.add_argument("--profile", choices=[k.value for k in CouplingKind], default="all-pairs")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument("--out", type=str, default=None, help="output file path")
+    if json_flag:
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    if out:
+        p.add_argument("--out", type=str, default=None, help="output file path")
     p.add_argument("--config", type=str, default=None, help="JSON config file (same keys as flags)")
 
 
@@ -310,25 +314,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimal entanglement of bipartite decompositions for spin-1/2 chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags go by full name only: table1 would otherwise read "--n 5" as "--n-list 5".
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_sweep = sub.add_parser("sweep", help="witness curves on a tau grid (CSV)")
-    _add_common_flags(p_sweep)
+    p_sweep = add_parser("sweep", help="witness curves on a tau grid (CSV)")
+    _add_common_flags(p_sweep, json_flag=False, out=True)
     _add_grid_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_t1 = sub.add_parser("table1", help="reproduce the reference maxima for N=3,4,6,8")
-    _add_common_flags(p_t1, need_init=False)
+    p_t1 = add_parser("table1", help="reproduce the reference maxima for N=3,4,6,8")
+    _add_common_flags(p_t1, chain=False, out=True)
     p_t1.add_argument("--n-list", type=str, default=None, help="subset of 3,4,6,8")
     p_t1.add_argument("--tau-step", type=float, default=0.01)
     p_t1.set_defaults(func=cmd_table1)
 
-    p_neg = sub.add_parser("negativity", help="double negativity of one split at one tau")
+    p_neg = add_parser("negativity", help="double negativity of one split at one tau")
     _add_common_flags(p_neg)
     p_neg.add_argument("--tau", type=float, required=False)
     p_neg.add_argument("--partition", type=str, help="split spec like 1,2|3,4")
     p_neg.set_defaults(func=cmd_negativity)
 
-    p_fm = sub.add_parser("first-max", help="first qualifying maximum of a witness curve")
+    p_fm = add_parser("first-max", help="first qualifying maximum of a witness curve")
     _add_common_flags(p_fm)
     _add_grid_flags(p_fm)
     p_fm.add_argument("--quantity", default="mebd")
@@ -366,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_FLAGS
     try:
         return args.func(args)
-    except (ValueError, NoMaximumFound) as exc:
+    except (ValueError, NoMaximumFound, GridTooLarge) as exc:
         _err(str(exc))
         return EXIT_BAD_FLAGS
     except MebdError as exc:

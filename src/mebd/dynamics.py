@@ -62,12 +62,15 @@ class SweepConfig:
                 raise ValueError(f"unknown quantity {q!r}")
         if self.fixed_bipartition and self.fixed_bipartition.n_sites != self.n_sites:
             raise ValueError("fixed bipartition lives on a different register")
-        if len(self.grid()) > MAX_GRID_POINTS:
+        if not self._span() < MAX_GRID_POINTS:  # counted before any array is built
             raise GridTooLarge(f"grid exceeds {MAX_GRID_POINTS} points")
 
+    def _span(self) -> float:
+        """The grid has floor(span) + 1 points; a span that overflows to inf is too large."""
+        return (self.tau_end - self.tau_start) / self.tau_step + 1e-9
+
     def grid(self) -> np.ndarray:
-        n = int(math.floor((self.tau_end - self.tau_start) / self.tau_step + 1e-9)) + 1
-        return self.tau_start + self.tau_step * np.arange(n)
+        return self.tau_start + self.tau_step * np.arange(math.floor(self._span()) + 1)
 
 
 @dataclass(frozen=True)

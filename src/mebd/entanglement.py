@@ -7,15 +7,17 @@ level-k estimators bracket it from above and below.
 
 There is one kernel per kind of state: pure states use their Schmidt values
 (pure_double_negativity, batched over a stack of states), mixed reduced states
-use the partial transpose (double_negativity).  Each public function that
-takes a density matrix checks it once (linalg.check_hermitian: NotHermitian,
-or ValueError for NaN/Inf entries); the per-split kernels behind them do not.
+use the partial transpose (_negativities, blocked or dense as decided once
+per state).  Each public function that takes a density matrix checks it once
+(linalg.check_hermitian: NotHermitian, or ValueError for NaN/Inf entries);
+the kernels behind them do not.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +28,11 @@ from .hilbert import (
     MAX_SITES,
     Bipartition,
     SiteSet,
-    index_mask,
     n_sites_of,
     partial_trace,
     partial_transpose,
+    site_index_bit,
 )
-
-# Off-block leakage above this disables the sector-blocked eigensolve.
-BLOCK_LEAK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,11 +50,7 @@ def enumerate_bipartitions(n_sites: int) -> tuple[Bipartition, ...]:
     if not 2 <= n_sites <= MAX_SITES:
         raise BadSize(f"n_sites must be 2..{MAX_SITES}, got {n_sites}")
     full = (1 << n_sites) - 1
-    parts = tuple(
-        Bipartition.from_masks(n_sites, mask)
-        for mask in range(1, full)
-        if mask & 1
-    )
+    parts = tuple(Bipartition.from_masks(n_sites, mask) for mask in range(1, full, 2))
     assert len(parts) == (1 << (n_sites - 1)) - 1
     return parts
 
@@ -71,69 +66,53 @@ def _block_eigvalsh(block: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(block)
 
 
-def _blocked_spectrum(mat: np.ndarray, labels: np.ndarray) -> np.ndarray | None:
-    """Eigenvalues of a matrix that is block-diagonal under the given labels.
-
-    Returns None when off-block entries exceed BLOCK_LEAK_TOL (the caller then
-    falls back to the dense path).  All-zero rows carry eigenvalue 0 and are
-    skipped.
-    """
-    support = np.flatnonzero(np.abs(mat).max(axis=0) > 0)
-    if support.size == 0:
-        return np.zeros(0)
-    sub = mat[np.ix_(support, support)]
-    order = np.argsort(labels[support], kind="stable")
-    sub = sub[np.ix_(order, order)]
-    lab = labels[support][order]
-    bounds = np.flatnonzero(np.diff(lab)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [lab.size]))
-    leak = np.abs(sub)
-    for s, e in zip(starts, ends):
-        leak[s:e, s:e] = 0.0
-    if leak.max(initial=0.0) > BLOCK_LEAK_TOL:
-        return None
-    return np.concatenate([_block_eigvalsh(sub[s:e, s:e]) for s, e in zip(starts, ends)])
-
-
-_POPCOUNT = np.array([bin(i).count("1") for i in range(1 << MAX_SITES)], dtype=np.int64)
-
-
 @functools.lru_cache(maxsize=4096)
-def _sector_labels_for_mask(n_sites: int, mask: int) -> np.ndarray:
-    idx = np.arange(1 << n_sites)
-    m_a = index_mask(SiteSet(n_sites, mask))
-    m_b = m_a ^ ((1 << n_sites) - 1)
-    labels = _POPCOUNT[idx & m_a] - _POPCOUNT[idx & m_b]
-    labels.setflags(write=False)
-    return labels
+def _pt_blocks(n_sites: int, mask: int) -> tuple[np.ndarray, ...]:
+    """Basis indices of each diagonal block of rho^{T_A}, A the sites of mask.
 
-
-def _sector_labels(n_sites: int, subset: SiteSet) -> np.ndarray:
-    """Per-basis-index value of (excitations in subset) - (excitations outside).
-
-    For rho commuting with total I_z, rho^{T_subset} is block diagonal in
-    these labels, which is what the blocked eigensolve exploits.
+    If rho conserves the excitation number, rho^{T_A} couples only basis states
+    of equal imbalance (excitations in A) - (excitations in B) (Cornfeld,
+    Goldstein and Sela, PRA 98, 032302, 2018).  Blocks come in ascending
+    imbalance, indices ascending; A = all sites gives rho's excitation sectors.
     """
-    return _sector_labels_for_mask(n_sites, subset.mask)
+    idx = np.arange(1 << n_sites)
+    sites_a = SiteSet(n_sites, mask).sites()
+    labels = sum((idx >> site_index_bit(s, n_sites) & 1) * (1 if s in sites_a else -1)
+                 for s in range(1, n_sites + 1))
+    order = np.argsort(labels, kind="stable")
+    order.setflags(write=False)
+    return tuple(np.split(order, np.flatnonzero(np.diff(labels[order])) + 1))
 
 
-def _split_negativity(rho: np.ndarray, p: Bipartition) -> float:
-    """double_negativity of an already validated rho."""
-    pt = partial_transpose(rho, p.part_a)
-    w = _blocked_spectrum(pt, _sector_labels(p.n_sites, p.part_a))
-    if w is None:
-        return linalg.negative_sum(pt)
-    return linalg.negative_sum_of_eigenvalues(w)
+def _negativities(rho: np.ndarray, parts: Iterable[Bipartition]) -> list[float]:
+    """double_negativity of an already validated rho for each split in parts.
+
+    Decided once per state: if rho is exactly zero (no tolerance) between basis
+    states of different excitation number, each rho^{T_A} is solved block by
+    block, all-zero columns dropped; any other rho takes the dense eigensolve.
+    """
+    n = n_sites_of(rho)
+    sectors = _pt_blocks(n, (1 << n) - 1)
+    blocked = np.count_nonzero(rho) == sum(np.count_nonzero(rho[np.ix_(s, s)]) for s in sectors)
+    values = []
+    for p in parts:
+        pt = partial_transpose(rho, p.part_a)
+        if not blocked:
+            values.append(linalg.negative_sum(pt))
+            continue
+        support = pt.any(axis=0)
+        w = [_block_eigvalsh(pt[np.ix_(b, b)])
+             for b in (b[support[b]] for b in _pt_blocks(n, p.part_a.mask)) if b.size]
+        values.append(linalg.negative_sum_of_eigenvalues(np.concatenate([np.zeros(0), *w])))
+    return values
 
 
 def double_negativity(rho: np.ndarray, p: Bipartition) -> float:
     """2 |sum of negative eigenvalues| of rho^{T_A} for the split p = A|B.
 
-    States that conserve I_z have a block-diagonal partial transpose, solved
-    block by block; any other state falls back to the dense eigensolve.
+    Solved block by block if rho conserves the excitation number exactly, else dense.
     """
-    return _split_negativity(linalg.check_hermitian(rho), p)
+    return _negativities(linalg.check_hermitian(rho), [p])[0]
 
 
 def schmidt_matrices(psis: np.ndarray, p: Bipartition) -> np.ndarray:
@@ -163,11 +142,10 @@ def pure_double_negativity(psis: np.ndarray, p: Bipartition) -> np.ndarray:
 def _reduced_negativity(rho: np.ndarray, a: SiteSet, b: SiteSet) -> float:
     """Negativity between disjoint site sets a and b after reducing rho onto their union."""
     keep = SiteSet(a.n_sites, a.mask | b.mask)
-    reduced = partial_trace(rho, keep)
     # Relabel a's sites inside the reduced register (kept sites stay ordered).
     kept = keep.sites()
     local_a = SiteSet.from_sites(len(kept), (kept.index(s) + 1 for s in a.sites()))
-    return _split_negativity(reduced, Bipartition(local_a, local_a.complement()))
+    return _negativities(partial_trace(rho, keep), [Bipartition(local_a, local_a.complement())])[0]
 
 
 def pairwise_negativity(rho: np.ndarray, parts: list[SiteSet], i: int, j: int) -> float:
@@ -191,7 +169,7 @@ def pairwise_negativity(rho: np.ndarray, parts: list[SiteSet], i: int, j: int) -
 def _mebd(rho: np.ndarray) -> MebdResult:
     """mebd of an already validated rho."""
     parts = enumerate_bipartitions(n_sites_of(rho))
-    values = [_split_negativity(rho, p) for p in parts]
+    values = _negativities(rho, parts)
     best = min(range(len(values)), key=values.__getitem__)
     return MebdResult(values[best], parts[best], dict(zip(parts, values)))
 
@@ -207,11 +185,7 @@ def single_node_witness(rho: np.ndarray) -> float:
     n = n_sites_of(rho)
     if n < 2:
         raise BadSize("need at least 2 sites")
-    vals = []
-    for s in range(1, n + 1):
-        a = SiteSet.from_sites(n, [s])
-        vals.append(_split_negativity(rho, Bipartition(a, a.complement())))
-    return min(vals)
+    return min(_negativities(rho, [Bipartition.from_masks(n, 1 << s) for s in range(n)]))
 
 
 def lower_estimate_1(rho: np.ndarray, j: Bipartition) -> float:

@@ -104,14 +104,6 @@ def site_index_bit(site: int, n_sites: int) -> int:
     return n_sites - site
 
 
-def index_mask(subset: SiteSet) -> int:
-    """SiteSet mask re-expressed in basis-index bit positions."""
-    m = 0
-    for s in subset.sites():
-        m |= 1 << site_index_bit(s, subset.n_sites)
-    return m
-
-
 def pure_density(state: str | Sequence[complex], n_sites: int | None = None) -> np.ndarray:
     """Density matrix |psi><psi| from a basis label or an amplitude vector."""
     if isinstance(state, str):

@@ -95,10 +95,11 @@ class TestSweepCommand:
         ("quantities", None), ("json", "no"), ("json", 1)])
     def test_config_value_of_wrong_type(self, capsys, tmp_path, key, value):
         # A store-true flag takes only a JSON bool; any other flag a string or
-        # number that its own type accepts, as on the command line.
+        # number that its own type accepts, as on the command line.  first-max
+        # takes every flag named here, --json among them.
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": 2, "init": "10", key: value}))
-        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        code, out, err = run_cli(capsys, "first-max", "--config", str(cfg))
         assert code == 2
         assert repr(key) in err
         assert not out
@@ -128,6 +129,14 @@ class TestSweepCommand:
                                  "--quantities", quantities)
         assert code == 2
         assert "quantities" in err
+        assert not out
+
+    @pytest.mark.parametrize("step", ["1e-15", "5e-324"])
+    def test_grid_too_large(self, capsys, step):
+        code, out, err = run_cli(capsys, "sweep", "--n", "3", "--init", "010",
+                                 "--tau-step", step)
+        assert code == 2
+        assert "grid exceeds" in err
         assert not out
 
     @pytest.mark.parametrize("flag", ["--tau-min", "--tau-max", "--tau-step"])
@@ -249,6 +258,23 @@ class TestFirstMaxCommand:
 class TestBadUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("table1", "--n", "5", "--n-list", "3"),
+        ("negativity", "--n", "3", "--init", "010", "--tau", "1", "--partition", "1|2,3",
+         "--out", "{out}"),
+        ("first-max", "--n", "3", "--init", "010", "--tau-max", "3", "--quantities", "mebd",
+         "--out", "{out}"),
+        ("sweep", "--n", "2", "--init", "10", "--tau-max", "0.5", "--json", "--out", "{out}"),
+    ], ids=["table1-n", "negativity-out", "first-max-out", "sweep-json"])
+    def test_flag_the_subcommand_does_not_read(self, capsys, tmp_path, argv):
+        # Each subcommand takes only the flags it reads; any other is refused.
+        out = tmp_path / "result"
+        code, stdout, err = run_cli(capsys, *(a.format(out=out) for a in argv))
+        assert code == 2
+        assert "unrecognized arguments" in err
+        assert not stdout
+        assert not list(tmp_path.iterdir())
 
     def test_no_subcommand(self, capsys):
         assert main([]) == 2

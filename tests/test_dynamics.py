@@ -31,8 +31,11 @@ class TestSweepConfig:
         assert np.allclose(cfg.grid(), [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_grid_too_large(self):
-        with pytest.raises(GridTooLarge):
-            SweepConfig(3, "010", tau_end=4.0, tau_step=1e-6)
+        # 1e-15 asks for 4e15 points, 5e-324 for an infinite count: both are
+        # refused before any array is built.
+        for step in (1e-6, 1e-15, 5e-324):
+            with pytest.raises(GridTooLarge):
+                SweepConfig(3, "010", tau_end=4.0, tau_step=step)
 
     def test_bad_label_length(self):
         with pytest.raises(ValueError):

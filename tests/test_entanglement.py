@@ -100,7 +100,9 @@ class TestDoubleNegativity:
 
     def test_blocked_refuses_generic_state(self, rng, monkeypatch):
         # A state that does not conserve I_z has no block structure: the
-        # dense fallback must run.
+        # dense path must run.  The blocked path is taken on exact zeros only,
+        # so a sector state with a 1e-14 pair between excitation numbers is
+        # generic too.
         calls = []
         dense = linalg.negative_sum
 
@@ -109,11 +111,15 @@ class TestDoubleNegativity:
             return dense(m)
 
         monkeypatch.setattr(linalg, "negative_sum", counted)
-        rho = pure_density(random_pure_state(rng, 8))
-        p = split(3, [1])
-        value = double_negativity(rho, p)
-        assert calls
-        assert value == dense(partial_transpose(rho, p.part_a))
+        generic = pure_density(random_pure_state(rng, 8))
+        leaky = pure_density(random_sector_state(rng, 5, 2))
+        leaky[3, 7] += 1e-14  # |00011> and |00111>: 2 and 3 excitations
+        leaky[7, 3] += 1e-14
+        for rho, p in ((generic, split(3, [1])), (leaky, split(5, [1, 4]))):
+            calls.clear()
+            value = double_negativity(rho, p)
+            assert calls
+            assert value == dense(partial_transpose(rho, p.part_a))
 
     def test_sector_states_skip_dense_fallback(self, rng, monkeypatch):
         def dense_fallback(m):
