@@ -73,19 +73,19 @@ def _config_default(action: argparse.Action, key: str, val):
     raise ValueError(f"config key {key!r} has an invalid value {val!r}")
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                  argv: list[str] | None) -> argparse.Namespace:
-    """Re-parse argv with a JSON config file's keys as the subcommand's defaults.
+def _apply_config(args: argparse.Namespace, argv: list[str] | None) -> argparse.Namespace:
+    """Re-parse argv on a fresh parser, a JSON config file's keys as the subcommand's defaults.
 
     Keys are flag names, with dashes or underscores; flags given on the
     command line still win.  A key that is not a flag of the subcommand, or
-    whose value the flag cannot take, fails.
+    whose value the flag cannot take, fails.  No later call sees the keys.
     """
     with open(args.config) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    sub = args.subcommands[args.command]
+    parser = build_parser()
+    sub = parser.get_default("subcommands")[args.command]
     actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     defaults = {}
     for key, val in data.items():
@@ -345,6 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_shared_parser = functools.cache(build_parser)  # built by the first main() call, then reused
+
+
 def _validate_required(args: argparse.Namespace) -> None:
     if args.command in ("sweep", "negativity", "first-max"):
         if args.n is None or args.init is None:
@@ -359,11 +362,10 @@ def _validate_required(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if args.config:
-            args = _apply_config(parser, args, argv)
+            args = _apply_config(args, argv)
         _validate_required(args)
     except SystemExit as exc:
         return EXIT_BAD_FLAGS if exc.code not in (0, None) else 0

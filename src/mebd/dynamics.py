@@ -16,7 +16,7 @@ import numpy as np
 
 from . import entanglement, linalg
 from .errors import GridTooLarge, NoMaximumFound
-from .hilbert import Bipartition, SiteSet, basis_index, excitation_sector
+from .hilbert import MAX_SITES, Bipartition, SiteSet, basis_index, excitation_sector
 from .model import CouplingKind, build_hdz
 
 MAX_GRID_POINTS = 100_000
@@ -48,6 +48,8 @@ class SweepConfig:
     fixed_bipartition: Bipartition | None = None
 
     def __post_init__(self):
+        if not 2 <= self.n_sites <= MAX_SITES:
+            raise ValueError(f"n_sites must be 2..{MAX_SITES}, got {self.n_sites}")
         if len(self.initial_label) != self.n_sites:
             raise ValueError("initial label length != n_sites")
         for name in ("tau_start", "tau_end", "tau_step"):
@@ -95,11 +97,10 @@ def _evolve_batches(n_sites: int, initial_label: str, taus: Iterable[float],
     """
     if len(initial_label) != n_sites:
         raise ValueError("initial label length != n_sites")
-    h = build_hdz(n_sites, profile)
-    start = basis_index(initial_label)
-    sector = excitation_sector(n_sites, initial_label.count("1"))
-    w, v = linalg.hermitian_eig(h[np.ix_(sector, sector)])
-    c0 = v[sector.index(start)]
+    k = initial_label.count("1")
+    w, v = linalg.hermitian_eig(build_hdz(n_sites, k, profile))
+    sector = excitation_sector(n_sites, k)
+    c0 = v[sector.index(basis_index(initial_label))]
     taus = iter(taus)
     while (batch := np.fromiter(itertools.islice(taus, EVOLVE_BATCH), np.float64)).size:
         bad = batch[~np.isfinite(batch)]

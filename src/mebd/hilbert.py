@@ -168,7 +168,8 @@ def partial_transpose(rho: np.ndarray, subset: SiteSet) -> np.ndarray:
 
 
 def excitation_sector(n_sites: int, k: int) -> list[int]:
-    """All basis indices whose label carries exactly k excited spins."""
+    """All basis indices whose label carries exactly k excited spins, ascending."""
     if not 0 <= k <= n_sites:
         raise BadK(f"k={k} outside 0..{n_sites}")
-    return [i for i in range(1 << n_sites) if bin(i).count("1") == k]
+    idx = np.arange(1 << n_sites)
+    return idx[sum((idx >> b & 1 for b in range(n_sites)), np.zeros_like(idx)) == k].tolist()

@@ -13,7 +13,7 @@ import enum
 import numpy as np
 
 from .errors import BadSize
-from .hilbert import MAX_SITES, site_index_bit
+from .hilbert import MAX_SITES, excitation_sector, site_index_bit
 
 
 class CouplingKind(str, enum.Enum):
@@ -27,32 +27,28 @@ class CouplingKind(str, enum.Enum):
         return 1.0 if j == i + 1 else 0.0
 
 
-def build_hdz(n_sites: int, profile: CouplingKind = CouplingKind.ALL_PAIRS_DIPOLAR) -> np.ndarray:
-    """The chain's H_dz as a real float64 matrix in the 2^N product basis.
+def build_hdz(n_sites: int, k: int,
+              profile: CouplingKind = CouplingKind.ALL_PAIRS_DIPOLAR) -> np.ndarray:
+    """The block of H_dz on the k-excitation sector: real float64, C(N,k) x C(N,k).
 
-    Diagonal part: -2 D_ij z_i z_j with z = +1/2 for |0> (along the field).
-    Off-diagonal part: the flip-flop term couples |..01..> and |..10..> with
-    amplitude D_ij / 2.
+    H_dz conserves the excitation number, so a state of the sector sees only
+    this block.  Rows and columns follow hilbert.excitation_sector (ascending).
+    Diagonal: -2 D_ij z_i z_j with z = +1/2 for |0> (along the field); the
+    flip-flop term couples |..01..> and |..10..> with amplitude D_ij / 2.
     """
     if not 2 <= n_sites <= MAX_SITES:
         raise BadSize(f"n_sites must be 2..{MAX_SITES}, got {n_sites}")
-
-    dim = 1 << n_sites
-    idx = np.arange(dim)
-    h = np.zeros((dim, dim))
-
-    for i in range(1, n_sites + 1):
-        bi = site_index_bit(i, n_sites)
-        zi = 0.5 - (idx >> bi & 1)
-        for j in range(i + 1, n_sites + 1):
-            d = profile.coupling(i, j)
-            if d == 0.0:
-                continue
-            bj = site_index_bit(j, n_sites)
-            zj = 0.5 - (idx >> bj & 1)
-            h[idx, idx] += -2.0 * d * zi * zj
-            flip = (idx >> bi & 1) != (idx >> bj & 1)
-            src = idx[flip]
-            dst = src ^ ((1 << bi) | (1 << bj))
-            h[dst, src] += 0.5 * d
+    sector = np.array(excitation_sector(n_sites, k))
+    pairs = [(site_index_bit(i, n_sites), site_index_bit(j, n_sites), profile.coupling(i, j))
+             for i in range(1, n_sites + 1) for j in range(i + 1, n_sites + 1)]
+    bi, bj, d = (np.array(col) for col in zip(*[p for p in pairs if p[2] != 0.0]))
+    z = 0.5 - (sector[:, None] >> np.arange(n_sites) & 1)  # z[:, b]: z of the site in bit b
+    diag = np.zeros(sector.size)
+    for p in range(d.size):  # pair by pair in (i, j) order: the sum rounds as written
+        diag += -2.0 * d[p] * z[:, bi[p]] * z[:, bj[p]]
+    h = np.diag(diag)
+    # Each flip-flop entry comes from exactly one pair: the two flipped sites.
+    src, pair = np.nonzero(z[:, bi] != z[:, bj])
+    dst = np.searchsorted(sector, sector[src] ^ (1 << bi[pair] | 1 << bj[pair]))
+    h[dst, src] = 0.5 * d[pair]
     return h

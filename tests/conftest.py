@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from mebd.hilbert import site_index_bit
+from mebd.model import CouplingKind
+
 
 @pytest.fixture
 def rng():
@@ -62,3 +65,29 @@ def iz_commutator(h):
     """Max-abs entry of [H, I_z]; I_z is diagonal, so [H, I_z]_ij = H_ij (z_j - z_i)."""
     z = total_iz(h.shape[0].bit_length() - 1)
     return float(np.max(np.abs(h * (z[None, :] - z[:, None]))))
+
+
+def full_hdz(n_sites, profile=CouplingKind.ALL_PAIRS_DIPOLAR):
+    """Reference H_dz on the whole 2^N product basis, built pair by pair.
+
+    The package builds only sector blocks (mebd.model.build_hdz); this is the
+    oracle they are sliced from in the tests.
+    """
+    dim = 1 << n_sites
+    idx = np.arange(dim)
+    h = np.zeros((dim, dim))
+    for i in range(1, n_sites + 1):
+        bi = site_index_bit(i, n_sites)
+        zi = 0.5 - (idx >> bi & 1)
+        for j in range(i + 1, n_sites + 1):
+            d = profile.coupling(i, j)
+            if d == 0.0:
+                continue
+            bj = site_index_bit(j, n_sites)
+            zj = 0.5 - (idx >> bj & 1)
+            h[idx, idx] += -2.0 * d * zi * zj
+            flip = (idx >> bi & 1) != (idx >> bj & 1)
+            src = idx[flip]
+            dst = src ^ ((1 << bi) | (1 << bj))
+            h[dst, src] += 0.5 * d
+    return h

@@ -27,10 +27,9 @@ from mebd.hilbert import (
     partial_transpose,
     pure_density,
 )
-from mebd.model import build_hdz
-
 from conftest import (
     bell_state,
+    full_hdz,
     ghz_state,
     iz_commutator,
     random_pure_state,
@@ -185,7 +184,7 @@ def test_criterion_5_witness_ordering():
 def test_criterion_6_conservation():
     worst_trace = worst_purity = worst_leak = worst_comm = 0.0
     for n, (label, _, _) in REFERENCE_ROWS.items():
-        worst_comm = max(worst_comm, iz_commutator(build_hdz(n)))
+        worst_comm = max(worst_comm, iz_commutator(full_hdz(n)))
         sector = set(excitation_sector(n, label.count("1")))
         outside = [i for i in range(1 << n) if i not in sector]
         for psi in dynamics.evolve(n, label, np.arange(0.0, 3.01, 0.05)):
@@ -228,7 +227,7 @@ def test_criterion_7_oracle_equivalence(monkeypatch):
 
     worst_taylor = 0.0
     for n, label in ((2, "10"), (3, "010"), (3, "110")):
-        h = build_hdz(n)
+        h = full_hdz(n)
         rho0 = pure_density(label)
         for tau in (0.5, 1.0, 2.0):
             series = np.zeros_like(h, dtype=np.complex128)

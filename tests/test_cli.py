@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from mebd import cli
 from mebd.cli import main, parse_partition
 
 
@@ -147,6 +148,36 @@ class TestSweepCommand:
         assert code == 2
         assert "finite" in err
         assert not out
+
+    @pytest.mark.parametrize("command", ["sweep", "first-max"])
+    @pytest.mark.parametrize("n", [1, 13])
+    def test_chain_length_out_of_range(self, capsys, command, n):
+        code, out, err = run_cli(capsys, command, "--n", str(n), "--init", "1" * n)
+        assert code == 2
+        assert "n_sites must be 2..12" in err
+        assert not out
+
+    def test_config_defaults_do_not_leak(self, capsys, tmp_path):
+        # The config's tau_step must not become the flag default of later calls
+        # in the same process, which share one parser.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tau_step": 0.0025}))
+        argv = ["sweep", "--n", "2", "--init", "10", "--tau-max", "0.01"]
+        code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 5
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == \
+            [repr(0.0), repr(0.005), repr(0.01)]
+
+    def test_parser_built_once_per_process(self, capsys):
+        cli._shared_parser.cache_clear()
+        for tau in ("0.5", "1.0"):
+            assert run_cli(capsys, "negativity", "--n", "2", "--init", "10",
+                           "--tau", tau, "--partition", "1|2")[0] == 0
+        info = cli._shared_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestNegativityCommand:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from mebd.dynamics import (
 from mebd.entanglement import lower_estimate_1, mebd, single_node_witness
 from mebd.errors import GridTooLarge, NoMaximumFound
 from mebd.hilbert import excitation_sector, pure_density
-from mebd.model import CouplingKind, build_hdz
+from mebd.model import CouplingKind
+
+from conftest import full_hdz
 
 
 class TestSweepConfig:
@@ -41,6 +44,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(3, "0101")
 
+    @pytest.mark.parametrize("n", [0, 1, 13])
+    def test_n_sites_out_of_range(self, n):
+        with pytest.raises(ValueError, match=r"n_sites must be 2\.\.12"):
+            SweepConfig(n, "1" * n)
+
     def test_empty_quantities(self):
         with pytest.raises(ValueError, match="quantities"):
             SweepConfig(3, "010", quantities=())
@@ -55,7 +63,7 @@ class TestEvolve:
         # |10><10| under the 2-site nearest-neighbour chain at tau = pi/2,
         # against a truncated exponential series.
         profile = CouplingKind.NEAREST_NEIGHBOR
-        h = build_hdz(2, profile)
+        h = full_hdz(2, profile)
         tau = np.pi / 2
         series = np.zeros_like(h, dtype=np.complex128)
         term = np.eye(4, dtype=np.complex128)
@@ -74,6 +82,17 @@ class TestEvolve:
     def test_bad_label_length(self):
         with pytest.raises(ValueError):
             next(evolve(3, "0101", [0.0]))
+
+    def test_memory_stays_in_sector(self):
+        # The N=12 half-filled sector block is 924 x 924 (6.8 MB); a 2^12 x
+        # 2^12 H alone would take 134 MB.
+        tracemalloc.start()
+        try:
+            next(evolve(12, "101010101010", [1.0]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestRunSweep:

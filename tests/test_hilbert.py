@@ -187,3 +187,11 @@ class TestExcitationSector:
     def test_bad_k(self):
         with pytest.raises(BadK):
             excitation_sector(3, 4)
+
+    def test_matches_popcount_definition(self):
+        for n in range(1, 13):
+            for k in range(n + 1):
+                expected = [i for i in range(1 << n) if bin(i).count("1") == k]
+                got = excitation_sector(n, k)
+                assert type(got) is list and all(type(i) is int for i in got)
+                assert got == expected

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from mebd.dynamics import evolve
-from mebd.errors import BadSize
+from mebd.errors import BadK, BadSize
 from mebd.hilbert import basis_index, pure_density, excitation_sector
 from mebd.model import CouplingKind, build_hdz
 
-from conftest import iz_commutator, total_iz
+from conftest import full_hdz, iz_commutator, total_iz
 
 
 class TestCouplingProfile:
@@ -23,39 +25,56 @@ class TestCouplingProfile:
 
 class TestBuildHdz:
     def test_two_site_elements(self):
-        h = build_hdz(2, CouplingKind.NEAREST_NEIGHBOR)
-        assert abs(h[basis_index("01"), basis_index("10")] - 0.5) < 1e-15
-        assert abs(h[basis_index("00"), basis_index("00")] - (-0.5)) < 1e-15
+        # The one-excitation block on (|01>, |10>): flip-flop 1/2 off the
+        # diagonal, -2 z_1 z_2 = +1/2 on it.
+        h = build_hdz(2, 1, CouplingKind.NEAREST_NEIGHBOR)
+        assert excitation_sector(2, 1) == [basis_index("01"), basis_index("10")]
+        assert abs(h[0, 1] - 0.5) < 1e-15
+        assert abs(h[0, 0] - 0.5) < 1e-15
+        assert abs(build_hdz(2, 0, CouplingKind.NEAREST_NEIGHBOR)[0, 0] - (-0.5)) < 1e-15
 
     @pytest.mark.parametrize("n,kind", [(3, CouplingKind.ALL_PAIRS_DIPOLAR),
                                         (5, CouplingKind.ALL_PAIRS_DIPOLAR),
                                         (4, CouplingKind.NEAREST_NEIGHBOR)])
     def test_ground_label_diagonal(self, n, kind):
         # <0..0|H|0..0> = -(1/2) sum_{i<j} D_ij from the ZZ term alone
-        h = build_hdz(n, kind)
+        h = build_hdz(n, 0, kind)
         expected = -0.5 * sum(kind.coupling(i, j)
                               for i in range(1, n + 1) for j in range(i + 1, n + 1))
+        assert h.shape == (1, 1)
         assert abs(h[0, 0] - expected) < 1e-12
 
     def test_hermitian_and_real(self):
-        h = build_hdz(4, CouplingKind.ALL_PAIRS_DIPOLAR)
+        h = full_hdz(4, CouplingKind.ALL_PAIRS_DIPOLAR)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
         assert np.max(np.abs(h.imag)) == 0.0
+        for k in range(5):
+            block = build_hdz(4, k)
+            assert np.array_equal(block, block.T)
 
     @pytest.mark.parametrize("kind", list(CouplingKind))
     def test_real_float64(self, kind):
-        h = build_hdz(5, kind)
-        assert isinstance(h, np.ndarray)
-        assert h.dtype == np.float64
-        assert h.shape == (32, 32)
+        for k in range(6):
+            h = build_hdz(5, k, kind)
+            assert isinstance(h, np.ndarray)
+            assert h.dtype == np.float64
+            assert h.shape == (math.comb(5, k),) * 2
+
+    @pytest.mark.parametrize("kind", list(CouplingKind))
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_block_is_slice_of_full(self, n, kind):
+        full = full_hdz(n, kind)
+        for k in range(n + 1):
+            sector = excitation_sector(n, k)
+            assert np.array_equal(build_hdz(n, k, kind), full[np.ix_(sector, sector)])
 
     def test_commutes_with_iz(self):
         for n in (2, 4, 8):
-            assert iz_commutator(build_hdz(n)) < 1e-12
+            assert iz_commutator(full_hdz(n)) < 1e-12
 
     def test_reflection_symmetry(self):
         n = 5
-        h = build_hdz(n)
+        h = full_hdz(n)
         # permutation that reverses the chain
         perm = np.zeros(1 << n, dtype=int)
         for i in range(1 << n):
@@ -66,9 +85,14 @@ class TestBuildHdz:
 
     def test_bad_size(self):
         with pytest.raises(BadSize):
-            build_hdz(1)
+            build_hdz(1, 0)
         with pytest.raises(BadSize):
-            build_hdz(13)
+            build_hdz(13, 0)
+
+    @pytest.mark.parametrize("k", [-1, 5])
+    def test_bad_k(self, k):
+        with pytest.raises(BadK):
+            build_hdz(4, k)
 
 
 class TestTotalIz:
@@ -84,7 +108,7 @@ class TestVerifyIzCommutation:
         # The commutator check used by acceptance criterion 6 is not vacuous.
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         perturb = np.kron(sx / 2, np.eye(4, dtype=complex))
-        assert iz_commutator(build_hdz(3) + perturb) > 0.1
+        assert iz_commutator(full_hdz(3) + perturb) > 0.1
 
 
 class TestSectorSupport:
