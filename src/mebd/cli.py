@@ -1,7 +1,8 @@
 """Command-line front end: sweeps, the reference-maxima harness, one-off negativities.
 
 stdout carries only data (CSV, tables, JSON); diagnostics go to stderr.
-Exit codes: 2 bad flags/arguments, 3 numerical failure, 4 calibration breach.
+Exit codes: 2 bad flags, arguments or paths (ValueError, OSError), 3 numerical
+failure (ArithmeticError, LinAlgError), 4 calibration breach.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import __version__, dynamics, entanglement
-from .errors import GridTooLarge, MebdError, NoMaximumFound
 from .hilbert import Bipartition, SiteSet
 from .model import CouplingKind
 from .dynamics import MEBD, PER_PARTITION, SweepConfig
@@ -180,10 +182,12 @@ def _sweep_diagnostics(records, cfg: SweepConfig) -> dict:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     kind = CouplingKind(args.profile)
-    n_list = [int(s) for s in args.n_list.split(",")] if args.n_list else [3, 4, 6, 8]
-    for n in n_list:
-        if n not in REFERENCE_MAXIMA:
-            raise ValueError(f"--n-list entries must be among {sorted(REFERENCE_MAXIMA)}")
+    try:
+        n_list = [int(s) for s in args.n_list.split(",")] if args.n_list else [3, 4, 6, 8]
+        if any(n not in REFERENCE_MAXIMA for n in n_list):
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"--n-list entries must be among {sorted(REFERENCE_MAXIMA)}") from None
 
     grid = {"tau_start": 0.0, "tau_end": 3.0, "tau_step": args.tau_step}
     rows = []
@@ -253,8 +257,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_negativity(args: argparse.Namespace) -> int:
-    partition = parse_partition(args.partition, args.n)
     psi = next(dynamics.evolve(args.n, args.init, [args.tau], CouplingKind(args.profile)))
+    partition = parse_partition(args.partition, args.n)
     value = float(entanglement.pure_double_negativity(psi[None], partition)[0])
     if args.json:
         print(json.dumps({"tau": args.tau, "partition": partition.label(),
@@ -349,13 +353,10 @@ _shared_parser = functools.cache(build_parser)  # built by the first main() call
 
 
 def _validate_required(args: argparse.Namespace) -> None:
+    """Presence only: SweepConfig, evolve and basis_index check the values."""
     if args.command in ("sweep", "negativity", "first-max"):
         if args.n is None or args.init is None:
             raise ValueError("--n and --init are required (flags or --config)")
-        if len(args.init) != args.n:
-            raise ValueError("--init length must equal --n")
-        if any(c not in "01" for c in args.init):
-            raise ValueError("--init must be a 0/1 string")
     if args.command == "negativity":
         if args.tau is None or args.partition is None:
             raise ValueError("--tau and --partition are required")
@@ -367,22 +368,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             args = _apply_config(args, argv)
         _validate_required(args)
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_BAD_FLAGS if exc.code not in (0, None) else 0
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        _err(str(exc))
-        return EXIT_BAD_FLAGS
-    try:
-        return args.func(args)
-    except (ValueError, NoMaximumFound, GridTooLarge) as exc:
-        _err(str(exc))
-        return EXIT_BAD_FLAGS
-    except MebdError as exc:
-        _err(str(exc))
-        return EXIT_NUMERICAL
-    except ArithmeticError as exc:
+    # LinAlgError subclasses ValueError, so this handler must come first.
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         _err(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+        _err(str(exc))
+        return EXIT_BAD_FLAGS
 
 
 if __name__ == "__main__":

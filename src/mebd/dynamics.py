@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import entanglement, linalg
-from .errors import GridTooLarge, NoMaximumFound
+from . import entanglement
 from .hilbert import MAX_SITES, Bipartition, SiteSet, basis_index, excitation_sector
 from .model import CouplingKind, build_hdz
 
@@ -28,6 +27,10 @@ E1_FIXED = "e1_fixed"
 E_TILDE = "e_tilde"
 PER_PARTITION = "per_partition"
 KNOWN_QUANTITIES = (MEBD, E1_FIXED, E_TILDE, PER_PARTITION)
+
+
+class NoMaximumFound(ValueError):
+    """No qualifying local maximum in the series."""
 
 
 def default_fixed_bipartition(n_sites: int) -> Bipartition:
@@ -65,7 +68,7 @@ class SweepConfig:
         if self.fixed_bipartition and self.fixed_bipartition.n_sites != self.n_sites:
             raise ValueError("fixed bipartition lives on a different register")
         if not self._span() < MAX_GRID_POINTS:  # counted before any array is built
-            raise GridTooLarge(f"grid exceeds {MAX_GRID_POINTS} points")
+            raise ValueError(f"grid exceeds {MAX_GRID_POINTS} points")
 
     def _span(self) -> float:
         """The grid has floor(span) + 1 points; a span that overflows to inf is too large."""
@@ -98,7 +101,7 @@ def _evolve_batches(n_sites: int, initial_label: str, taus: Iterable[float],
     if len(initial_label) != n_sites:
         raise ValueError("initial label length != n_sites")
     k = initial_label.count("1")
-    w, v = linalg.hermitian_eig(build_hdz(n_sites, k, profile))
+    w, v = np.linalg.eigh(build_hdz(n_sites, k, profile))
     sector = excitation_sector(n_sites, k)
     c0 = v[sector.index(basis_index(initial_label))]
     taus = iter(taus)

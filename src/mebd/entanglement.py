@@ -9,8 +9,8 @@ There is one kernel per kind of state: pure states use their Schmidt values
 (pure_double_negativity, batched over a stack of states), mixed reduced states
 use the partial transpose (_negativities, blocked or dense as decided once
 per state).  Each public function that takes a density matrix checks it once
-(linalg.check_hermitian: NotHermitian, or ValueError for NaN/Inf entries);
-the kernels behind them do not.
+(linalg.check_hermitian raises ValueError for a non-Hermitian matrix or
+NaN/Inf entries); the kernels behind them do not.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BadLevel, BadPartition, BadSize
 from .hilbert import (
     MAX_SITES,
     Bipartition,
@@ -48,7 +47,7 @@ def enumerate_bipartitions(n_sites: int) -> tuple[Bipartition, ...]:
     Ordered by ascending part_a mask, which fixes argmin tie-breaking.
     """
     if not 2 <= n_sites <= MAX_SITES:
-        raise BadSize(f"n_sites must be 2..{MAX_SITES}, got {n_sites}")
+        raise ValueError(f"n_sites must be 2..{MAX_SITES}, got {n_sites}")
     full = (1 << n_sites) - 1
     parts = tuple(Bipartition.from_masks(n_sites, mask) for mask in range(1, full, 2))
     assert len(parts) == (1 << (n_sites - 1)) - 1
@@ -139,31 +138,26 @@ def pure_double_negativity(psis: np.ndarray, p: Bipartition) -> np.ndarray:
     return 2.0 * np.where(prod > linalg.ZERO_EIGENVALUE_TOL, prod, 0.0).sum(axis=(1, 2))
 
 
-def _reduced_negativity(rho: np.ndarray, a: SiteSet, b: SiteSet) -> float:
-    """Negativity between disjoint site sets a and b after reducing rho onto their union."""
-    keep = SiteSet(a.n_sites, a.mask | b.mask)
-    # Relabel a's sites inside the reduced register (kept sites stay ordered).
-    kept = keep.sites()
-    local_a = SiteSet.from_sites(len(kept), (kept.index(s) + 1 for s in a.sites()))
-    return _negativities(partial_trace(rho, keep), [Bipartition(local_a, local_a.complement())])[0]
-
-
 def pairwise_negativity(rho: np.ndarray, parts: list[SiteSet], i: int, j: int) -> float:
     """Double negativity between parts[i] and parts[j] after tracing out the rest."""
     rho = linalg.check_hermitian(rho)
     n = n_sites_of(rho)
     if i == j:
-        raise BadPartition("i and j must differ")
+        raise ValueError("i and j must differ")
     union = 0
     for k, p in enumerate(parts):
         if p.n_sites != n:
-            raise BadPartition("part lives on a different register")
+            raise ValueError("part lives on a different register")
         if union & p.mask:
-            raise BadPartition("parts overlap")
+            raise ValueError("parts overlap")
         union |= p.mask
     if union != (1 << n) - 1:
-        raise BadPartition("parts do not cover the register")
-    return _reduced_negativity(rho, parts[i], parts[j])
+        raise ValueError("parts do not cover the register")
+    keep = SiteSet(n, parts[i].mask | parts[j].mask)
+    # Relabel parts[i]'s sites inside the reduced register (kept sites stay ordered).
+    kept = keep.sites()
+    local_a = SiteSet.from_sites(len(kept), (kept.index(s) + 1 for s in parts[i].sites()))
+    return _negativities(partial_trace(rho, keep), [Bipartition(local_a, local_a.complement())])[0]
 
 
 def _mebd(rho: np.ndarray) -> MebdResult:
@@ -184,7 +178,7 @@ def single_node_witness(rho: np.ndarray) -> float:
     rho = linalg.check_hermitian(rho)
     n = n_sites_of(rho)
     if n < 2:
-        raise BadSize("need at least 2 sites")
+        raise ValueError("need at least 2 sites")
     return min(_negativities(rho, [Bipartition.from_masks(n, 1 << s) for s in range(n)]))
 
 
@@ -195,7 +189,7 @@ def lower_estimate_1(rho: np.ndarray, j: Bipartition) -> float:
     omitted from the min.
     """
     rho = linalg.check_hermitian(rho)
-    terms = [_reduced_negativity(rho, j.part_a, j.part_b)]
+    terms = [_negativities(rho, [j])[0]]
     for part in (j.part_a, j.part_b):
         if part.size() >= 2:
             terms.append(_mebd(partial_trace(rho, part)).value)
@@ -241,9 +235,9 @@ def lower_estimate_level(rho: np.ndarray, level: int) -> float:
     rho = linalg.check_hermitian(rho)
     n = n_sites_of(rho)
     if n < 2:
-        raise BadSize(f"need at least 2 sites, got {n}")
+        raise ValueError(f"need at least 2 sites, got {n}")
     if not 1 <= level <= max_level(n):
-        raise BadLevel(f"level must be 1..{max_level(n)} for {n} sites, got {level}")
+        raise ValueError(f"level must be 1..{max_level(n)} for {n} sites, got {level}")
 
     table = _split_table(rho)
     memo: dict[tuple[int, int], float] = {}

@@ -15,8 +15,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadK, BadLabel, EmptyKeepSet, EmptySubset, NotNormalized
-
 MAX_SITES = 12
 
 
@@ -88,9 +86,9 @@ class Bipartition:
 
 def _validate_label(label: str) -> str:
     if not label or any(c not in "01" for c in label):
-        raise BadLabel(f"label must be a nonempty 0/1 string, got {label!r}")
+        raise ValueError(f"label must be a nonempty 0/1 string, got {label!r}")
     if len(label) > MAX_SITES:
-        raise BadLabel(f"label longer than {MAX_SITES} sites: {label!r}")
+        raise ValueError(f"label longer than {MAX_SITES} sites: {label!r}")
     return label
 
 
@@ -114,15 +112,15 @@ def pure_density(state: str | Sequence[complex], n_sites: int | None = None) -> 
     else:
         psi = np.asarray(state, dtype=np.complex128)
         if psi.ndim != 1:
-            raise BadLabel("amplitude vector must be one-dimensional")
+            raise ValueError("amplitude vector must be one-dimensional")
         n = psi.shape[0]
         if n & (n - 1) or n < 2:
-            raise BadLabel(f"amplitude vector length {n} is not a power of two")
+            raise ValueError(f"amplitude vector length {n} is not a power of two")
         norm = np.linalg.norm(psi)
         if not abs(norm - 1.0) <= 1e-10:  # written so that a NaN norm fails too
-            raise NotNormalized(f"|psi| = {norm!r}")
+            raise ValueError(f"|psi| = {norm!r}")
     if n_sites is not None and psi.shape[0] != (1 << n_sites):
-        raise BadLabel(f"state dimension {psi.shape[0]} != 2^{n_sites}")
+        raise ValueError(f"state dimension {psi.shape[0]} != 2^{n_sites}")
     return np.outer(psi, psi.conj())
 
 
@@ -137,7 +135,7 @@ def n_sites_of(rho: np.ndarray) -> int:
 def partial_trace(rho: np.ndarray, keep: SiteSet) -> np.ndarray:
     """Reduce rho onto the kept sites (original site order preserved)."""
     if keep.mask == 0:
-        raise EmptyKeepSet("must keep at least one site")
+        raise ValueError("must keep at least one site")
     n = keep.n_sites
     if rho.shape[0] != (1 << n):
         raise ValueError(f"rho dimension {rho.shape[0]} != 2^{n}")
@@ -156,7 +154,7 @@ def partial_trace(rho: np.ndarray, keep: SiteSet) -> np.ndarray:
 def partial_transpose(rho: np.ndarray, subset: SiteSet) -> np.ndarray:
     """Transpose the indices belonging to subset only."""
     if subset.mask == 0:
-        raise EmptySubset("subset must be nonempty")
+        raise ValueError("subset must be nonempty")
     n = subset.n_sites
     if rho.shape[0] != (1 << n):
         raise ValueError(f"rho dimension {rho.shape[0]} != 2^{n}")
@@ -170,6 +168,6 @@ def partial_transpose(rho: np.ndarray, subset: SiteSet) -> np.ndarray:
 def excitation_sector(n_sites: int, k: int) -> list[int]:
     """All basis indices whose label carries exactly k excited spins, ascending."""
     if not 0 <= k <= n_sites:
-        raise BadK(f"k={k} outside 0..{n_sites}")
+        raise ValueError(f"k={k} outside 0..{n_sites}")
     idx = np.arange(1 << n_sites)
     return idx[sum((idx >> b & 1 for b in range(n_sites)), np.zeros_like(idx)) == k].tolist()

@@ -1,15 +1,12 @@
-"""Dense Hermitian kernel: eigendecomposition and negative-spectrum sums.
+"""Dense Hermitian kernel: validation and negative-spectrum sums.
 
-Everything downstream (evolution under H, partial-transpose spectra) is
-built on the contracts here.  All functions are pure; arrays are never
-mutated in place.
+The partial-transpose spectra downstream are built on the contracts here.
+All functions are pure; arrays are never mutated in place.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 
 HERMITICITY_TOL = 1e-10
 # Eigenvalues below this magnitude are round-off, not entanglement.
@@ -20,28 +17,19 @@ def _as_square(m: np.ndarray) -> np.ndarray:
     """Real input stays real (a real symmetric eigensolve); anything else is complex."""
     a = np.asarray(m, dtype=np.float64 if np.isrealobj(m) else np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(np.float64))):
         raise ValueError("matrix contains NaN/Inf entries")
     return a
 
 
-def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def check_hermitian(m: np.ndarray) -> np.ndarray:
     """Validate Hermiticity in max-abs entry norm; returns the validated array."""
     a = _as_square(m)
     dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if dev > tol:
-        raise NotHermitian(f"max |m - m†| = {dev:.3e} exceeds {tol:.1e}")
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"max |m - m†| = {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
     return a
-
-
-def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues ascending, orthonormal eigenvector columns) of a Hermitian matrix."""
-    a = check_hermitian(m)
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
 
 
 def negative_sum(m: np.ndarray) -> float:

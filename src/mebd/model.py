@@ -12,7 +12,6 @@ import enum
 
 import numpy as np
 
-from .errors import BadSize
 from .hilbert import MAX_SITES, excitation_sector, site_index_bit
 
 
@@ -37,7 +36,7 @@ def build_hdz(n_sites: int, k: int,
     flip-flop term couples |..01..> and |..10..> with amplitude D_ij / 2.
     """
     if not 2 <= n_sites <= MAX_SITES:
-        raise BadSize(f"n_sites must be 2..{MAX_SITES}, got {n_sites}")
+        raise ValueError(f"n_sites must be 2..{MAX_SITES}, got {n_sites}")
     sector = np.array(excitation_sector(n_sites, k))
     pairs = [(site_index_bit(i, n_sites), site_index_bit(j, n_sites), profile.coupling(i, j))
              for i in range(1, n_sites + 1) for j in range(i + 1, n_sites + 1)]

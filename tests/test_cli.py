@@ -1,8 +1,13 @@
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 
+import numpy as np
 import pytest
 
+import mebd
 from mebd import cli
 from mebd.cli import main, parse_partition
 
@@ -73,6 +78,14 @@ class TestSweepCommand:
     def test_init_length_mismatch(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--n", "3", "--init", "0100")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "negativity", "first-max"])
+    def test_init_not_binary(self, capsys, command):
+        extra = ("--tau", "1", "--partition", "1|2,3") if command == "negativity" else ()
+        code, out, err = run_cli(capsys, command, "--n", "3", "--init", "0x0", *extra)
+        assert code == 2
+        assert "0/1 string" in err
+        assert not out
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -149,10 +162,11 @@ class TestSweepCommand:
         assert "finite" in err
         assert not out
 
-    @pytest.mark.parametrize("command", ["sweep", "first-max"])
+    @pytest.mark.parametrize("command", ["sweep", "first-max", "negativity"])
     @pytest.mark.parametrize("n", [1, 13])
     def test_chain_length_out_of_range(self, capsys, command, n):
-        code, out, err = run_cli(capsys, command, "--n", str(n), "--init", "1" * n)
+        extra = ("--tau", "1", "--partition", "1|") if command == "negativity" else ()
+        code, out, err = run_cli(capsys, command, "--n", str(n), "--init", "1" * n, *extra)
         assert code == 2
         assert "n_sites must be 2..12" in err
         assert not out
@@ -238,8 +252,11 @@ class TestTable1Command:
         assert manifest["quantities"] == ["mebd"]
 
     def test_bad_n(self, capsys):
-        code, _, _ = run_cli(capsys, "table1", "--n-list", "5")
-        assert code == 2
+        for n_list in ("5", "3,", "x"):
+            code, out, err = run_cli(capsys, "table1", "--n-list", n_list)
+            assert code == 2
+            assert "--n-list" in err
+            assert not out
 
 
 class TestFirstMaxCommand:
@@ -309,3 +326,37 @@ class TestBadUsage:
 
     def test_no_subcommand(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--n", "2", "--init", "10", "--tau-max", "0.5"),
+        ("table1", "--n-list", "3"),
+    ], ids=["sweep", "table1"])
+    def test_unwritable_out(self, capsys, tmp_path, argv):
+        out = tmp_path / "missing" / "result"
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert err.startswith("mebd: ")
+        assert str(out) in err
+
+
+class TestErrorContract:
+    def test_linalg_error_is_numerical_failure(self, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        code, out, err = run_cli(capsys, "negativity", "--n", "3", "--init", "010",
+                                 "--tau", "1", "--partition", "1|2,3")
+        assert code == 3
+        assert "numerical failure" in err
+        assert not out
+
+    def test_every_package_exception_is_a_value_error(self):
+        # Bad input raises ValueError (exit 2); a class outside that contract
+        # would reach the user as a traceback or a wrong exit code.
+        defined = [cls for info in pkgutil.iter_modules(mebd.__path__)
+                   for _, cls in inspect.getmembers(
+                       importlib.import_module(f"mebd.{info.name}"), inspect.isclass)
+                   if issubclass(cls, Exception) and cls.__module__.startswith("mebd")]
+        assert defined
+        assert all(issubclass(cls, ValueError) for cls in defined), defined

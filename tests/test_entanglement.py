@@ -17,7 +17,6 @@ from mebd.entanglement import (
     pure_double_negativity,
     single_node_witness,
 )
-from mebd.errors import BadLevel, BadPartition, BadSize, NotHermitian
 from mebd.hilbert import (
     Bipartition,
     SiteSet,
@@ -67,7 +66,7 @@ class TestEnumerateBipartitions:
             assert 1 in p.part_a.sites()
 
     def test_bad_size(self):
-        with pytest.raises(BadSize):
+        with pytest.raises(ValueError, match=r"n_sites must be 2\.\.12"):
             enumerate_bipartitions(1)
 
 
@@ -153,9 +152,9 @@ class TestPairwiseNegativity:
     def test_rejects_bad_partition(self):
         rho = pure_density(ghz_state(3))
         overlapping = [SiteSet.from_sites(3, [1, 2]), SiteSet.from_sites(3, [2, 3])]
-        with pytest.raises(BadPartition):
+        with pytest.raises(ValueError, match="parts overlap"):
             pairwise_negativity(rho, overlapping, 0, 1)
-        with pytest.raises(BadPartition):
+        with pytest.raises(ValueError, match="must differ"):
             pairwise_negativity(rho, [SiteSet.from_sites(3, [1])], 0, 0)
 
 
@@ -235,13 +234,13 @@ class TestLowerEstimateLevel:
 
     def test_bad_level(self, rng):
         rho = pure_density(random_pure_state(rng, 8))
-        with pytest.raises(BadLevel):
+        with pytest.raises(ValueError, match="level must be 1"):
             lower_estimate_level(rho, 0)
-        with pytest.raises(BadLevel):
+        with pytest.raises(ValueError, match="level must be 1"):
             lower_estimate_level(rho, max_level(3) + 1)
 
     def test_single_site_register(self):
-        with pytest.raises(BadSize):
+        with pytest.raises(ValueError, match="need at least 2 sites"):
             lower_estimate_level(np.eye(2) / 2, 1)
 
     def test_each_reduced_state_and_split_computed_once(self, monkeypatch):
@@ -290,7 +289,7 @@ def _bad_state(kind):
 ], ids=["double_negativity", "mebd", "single_node_witness", "pairwise_negativity",
         "lower_estimate_1", "lower_estimate_level"])
 def test_bad_density_matrix_rejected(call, kind):
-    with pytest.raises((NotHermitian, ValueError)):
+    with pytest.raises(ValueError, match={"non_hermitian": "exceeds", "nan": "NaN/Inf"}[kind]):
         call(_bad_state(kind))
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mebd import linalg
-from mebd.errors import BadK, BadLabel, EmptyKeepSet, EmptySubset, NotNormalized
 from mebd.hilbert import (
     Bipartition,
     SiteSet,
@@ -49,9 +48,9 @@ class TestBasisIndex:
             assert basis_index(format(i, "04b")) == i
 
     def test_bad_label(self):
-        with pytest.raises(BadLabel):
+        with pytest.raises(ValueError, match="0/1 string"):
             basis_index("01a")
-        with pytest.raises(BadLabel):
+        with pytest.raises(ValueError, match="0/1 string"):
             basis_index("")
 
 
@@ -76,12 +75,12 @@ class TestPureDensity:
                 assert abs(rho[i, j] - 1 / 3) < 1e-12
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(ValueError, match=r"\|psi\|"):
             pure_density(np.array([1.0, 1.0, 0.0, 0.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(ValueError, match=r"\|psi\|"):
             pure_density(np.array([bad, 0.0]))
 
 
@@ -114,7 +113,7 @@ class TestPartialTrace:
         assert np.max(np.abs(red - red.conj().T)) < 1e-12
 
     def test_empty_keep(self, rng):
-        with pytest.raises(EmptyKeepSet):
+        with pytest.raises(ValueError, match="keep at least one site"):
             partial_trace(random_density(rng, 4), SiteSet(2, 0))
 
 
@@ -162,7 +161,7 @@ class TestPartialTranspose:
         assert np.max(np.abs(pt - pt.conj().T)) < 1e-12
 
     def test_empty_subset(self, rng):
-        with pytest.raises(EmptySubset):
+        with pytest.raises(ValueError, match="nonempty"):
             partial_transpose(random_density(rng, 4), SiteSet(2, 0))
 
     def test_product_state_ppt(self):
@@ -185,7 +184,7 @@ class TestExcitationSector:
             assert bin(i).count("1") == 2
 
     def test_bad_k(self):
-        with pytest.raises(BadK):
+        with pytest.raises(ValueError, match="outside 0..3"):
             excitation_sector(3, 4)
 
     def test_matches_popcount_definition(self):

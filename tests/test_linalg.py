@@ -2,40 +2,19 @@ import numpy as np
 import pytest
 
 from mebd import linalg
-from mebd.errors import NotHermitian
 from mebd.hilbert import pure_density
 
 from conftest import bell_state, random_hermitian
 
 
-class TestHermitianEig:
-    def test_identity(self):
-        w, v = linalg.hermitian_eig(np.eye(4))
-        assert np.allclose(w, 1.0)
-        assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-10
-
-    def test_diagonal_sorted_ascending(self):
-        w, _ = linalg.hermitian_eig(np.diag([3.0, -1.0, 2.0]))
-        assert np.allclose(w, [-1.0, 2.0, 3.0])
-
-    def test_reconstruction(self, rng):
-        h = random_hermitian(rng, 8)
-        w, v = linalg.hermitian_eig(h)
-        rebuilt = (v * w) @ v.conj().T
-        assert np.max(np.abs(rebuilt - h)) < 1e-9
-
-    def test_orthonormal_vectors(self, rng):
-        _, v = linalg.hermitian_eig(random_hermitian(rng, 16))
-        gram = v.conj().T @ v
-        assert np.max(np.abs(gram - np.eye(16))) < 1e-10
-
+class TestCheckHermitian:
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="exceeds"):
+            linalg.check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            linalg.hermitian_eig(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            linalg.check_hermitian(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
 class TestNegativeSum:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mebd.dynamics import evolve
-from mebd.errors import BadK, BadSize
 from mebd.hilbert import basis_index, pure_density, excitation_sector
 from mebd.model import CouplingKind, build_hdz
 
@@ -84,14 +83,14 @@ class TestBuildHdz:
         assert np.max(np.abs(reflected - h)) < 1e-12
 
     def test_bad_size(self):
-        with pytest.raises(BadSize):
+        with pytest.raises(ValueError, match=r"n_sites must be 2\.\.12"):
             build_hdz(1, 0)
-        with pytest.raises(BadSize):
+        with pytest.raises(ValueError, match=r"n_sites must be 2\.\.12"):
             build_hdz(13, 0)
 
     @pytest.mark.parametrize("k", [-1, 5])
     def test_bad_k(self, k):
-        with pytest.raises(BadK):
+        with pytest.raises(ValueError, match="outside 0..4"):
             build_hdz(4, k)
 
 
