@@ -13,13 +13,14 @@ import functools
 import json
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
 from . import __version__, dynamics, entanglement
 from .hilbert import Bipartition, SiteSet
 from .model import CouplingKind
-from .dynamics import MEBD, PER_PARTITION, SweepConfig
+from .dynamics import MEBD, SweepConfig
 
 EXIT_BAD_FLAGS = 2
 EXIT_NUMERICAL = 3
@@ -58,61 +59,58 @@ def parse_partition(spec: str, n_sites: int) -> Bipartition:
     return Bipartition(a, b)
 
 
-def _config_default(action: argparse.Action, key: str, val):
-    """A config value as its flag would read it from the command line.
+def _option(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _config_tokens(dest: str, key: str, val) -> list[str]:
+    """A config value as the command-line tokens of its flag.
 
     A flag that takes no value (store-true) takes only a JSON bool; any other
-    flag takes a string or number, converted by the flag's own type.
+    flag takes a string or number that its own type and choices accept.
     """
-    if action.nargs == 0:
+    spec = FLAGS[dest]
+    if spec.get("action") == "store_true":
         if isinstance(val, bool):
-            return val
+            return [_option(dest)] if val else []
     elif isinstance(val, (str, int, float)) and not isinstance(val, bool):
         with contextlib.suppress(ValueError):
-            out = (action.type or str)(str(val))
-            if action.choices is None or out in action.choices:
-                return out
+            out = spec.get("type", str)(str(val))
+            if out in spec.get("choices", (out,)):
+                return [f"{_option(dest)}={val}"]
     raise ValueError(f"config key {key!r} has an invalid value {val!r}")
 
 
 def _apply_config(args: argparse.Namespace, argv: list[str] | None) -> argparse.Namespace:
-    """Re-parse argv on a fresh parser, a JSON config file's keys as the subcommand's defaults.
+    """Re-parse argv with a JSON config file's keys given as flags before the command line's.
 
     Keys are flag names, with dashes or underscores; flags given on the
-    command line still win.  A key that is not a flag of the subcommand, or
-    whose value the flag cannot take, fails.  No later call sees the keys.
+    command line still win, as the later of two values does.  A key that is
+    not a flag of the subcommand, or whose value the flag cannot take, fails.
     """
     with open(args.config) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    parser = build_parser()
-    sub = parser.get_default("subcommands")[args.command]
-    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
-    defaults = {}
+    flags = COMMANDS[args.command].flags
+    tokens = []
     for key, val in data.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
+        dest = key.replace("-", "_")
+        if dest not in flags or dest == "config":
             raise ValueError(f"unknown config key {key!r} for '{args.command}'")
-        defaults[action.dest] = _config_default(action, key, val)
-    sub.set_defaults(**defaults)
-    return parser.parse_args(argv)
+        tokens += _config_tokens(dest, key, val)
+    argv = sys.argv[1:] if argv is None else argv
+    at = argv.index(args.command) + 1
+    return _shared_parser().parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     quantities = tuple(q.strip().replace("-", "_")
                        for q in args.quantities.split(",") if q.strip())
     fixed = parse_partition(args.e1_partition, args.n) if args.e1_partition else None
-    return SweepConfig(
-        n_sites=args.n,
-        initial_label=args.init,
-        profile=CouplingKind(args.profile),
-        tau_start=args.tau_min,
-        tau_end=args.tau_max,
-        tau_step=args.tau_step,
-        quantities=quantities,
-        fixed_bipartition=fixed,
-    )
+    return SweepConfig(n_sites=args.n, initial_label=args.init, profile=CouplingKind(args.profile),
+                       tau_start=args.tau_min, tau_end=args.tau_max, tau_step=args.tau_step,
+                       quantities=quantities, fixed_bipartition=fixed)
 
 
 def _manifest(cfg: SweepConfig, wall: float) -> dict:
@@ -125,6 +123,8 @@ def _manifest(cfg: SweepConfig, wall: float) -> dict:
             "tau_end": cfg.tau_end,
             "tau_step": cfg.tau_step,
             "quantities": list(cfg.quantities),
+            "e1_partition": (cfg.fixed_bipartition
+                             or dynamics.default_fixed_bipartition(cfg.n_sites)).label(),
         },
         "code_version": __version__,
         "wall_time_seconds": wall,
@@ -144,11 +144,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     records = dynamics.run_sweep(cfg)
     wall = time.monotonic() - start
 
-    columns = [q for q in (dynamics.MEBD, dynamics.E1_FIXED, dynamics.E_TILDE)
-               if q in cfg.quantities]
-    if PER_PARTITION in cfg.quantities:
-        columns += [f"p_{p.label()}" for p in entanglement.enumerate_bipartitions(cfg.n_sites)]
-
+    columns = list(records[0].values)  # run_sweep keys each record in CSV column order
     lines = ["tau," + ",".join(columns)]
     for rec in records:
         lines.append(",".join([repr(rec.tau)] + [repr(rec.values[c]) for c in columns]))
@@ -194,13 +190,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     start = time.monotonic()
     for n in n_list:
         init, tau_ref, e_ref = REFERENCE_MAXIMA[n]
-        cfg = SweepConfig(
-            n_sites=n,
-            initial_label=init,
-            profile=kind,
-            quantities=(MEBD,),
-            **grid,
-        )
+        cfg = SweepConfig(n_sites=n, initial_label=init, profile=kind, quantities=(MEBD,), **grid)
         records = dynamics.run_sweep(cfg)
         report = dynamics.find_first_maximum(records, MEBD)
         row = {
@@ -288,28 +278,48 @@ def cmd_first_max(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_flags(p: argparse.ArgumentParser, chain=True, json_flag=True, out=False) -> None:
-    """The flags shared among subcommands; each subcommand takes only those it reads."""
-    if chain:
-        p.add_argument("--n", type=int, required=False, help="chain length")
-        p.add_argument("--init", type=str, help="initial basis label, e.g. 1001")
-    p.add_argument("--profile", choices=[k.value for k in CouplingKind], default="all-pairs")
-    if json_flag:
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    if out:
-        p.add_argument("--out", type=str, default=None, help="output file path")
-    p.add_argument("--config", type=str, default=None, help="JSON config file (same keys as flags)")
+# Every flag's argparse spec, keyed by its Namespace name; COMMANDS picks each subcommand's.
+FLAGS = {
+    "n": dict(type=int, help="chain length"),
+    "init": dict(help="initial basis label, e.g. 1001"),
+    "profile": dict(choices=[k.value for k in CouplingKind], default="all-pairs"),
+    "json": dict(action="store_true", help="emit JSON instead of text"),
+    "out": dict(help="output file path"),
+    "config": dict(help="JSON config file (same keys as flags)"),
+    "tau_min": dict(type=float, default=0.0),
+    "tau_max": dict(type=float, default=4.0),
+    "tau_step": dict(type=float, default=0.005),
+    "quantities": dict(default="mebd,e1_fixed,e_tilde",
+                       help="comma list from: mebd,e1_fixed,e_tilde,per-partition"),
+    "e1_partition": dict(help="fixed split for e1_fixed, e.g. 1,2,3,4|5,6 "
+                              "(default: first half vs rest)"),
+    "n_list": dict(help="subset of 3,4,6,8"),
+    "tau": dict(type=float),
+    "partition": dict(help="split spec like 1,2|3,4"),
+    "quantity": dict(default="mebd"),
+    "min_value": dict(type=float, default=0.5),
+}
+GRID_FLAGS = ("tau_min", "tau_max", "tau_step", "quantities", "e1_partition")
 
 
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau-min", type=float, default=0.0)
-    p.add_argument("--tau-max", type=float, default=4.0)
-    p.add_argument("--tau-step", type=float, default=0.005)
-    p.add_argument("--quantities", default="mebd,e1_fixed,e_tilde",
-                   help="comma list from: mebd,e1_fixed,e_tilde,per-partition")
-    p.add_argument("--e1-partition", default=None,
-                   help="fixed split for e1_fixed, e.g. 1,2,3,4|5,6 "
-                        "(default: first half vs rest)")
+# One row per subcommand: its handler, help text, flags in --help order, the
+# flags that must be given, and its own flag defaults.
+Command = namedtuple("Command", "handler help flags required defaults", defaults=((), {}))
+COMMANDS = {
+    "sweep": Command(cmd_sweep, "witness curves on a tau grid (CSV)",
+                     ("n", "init", "profile", "out", "config", *GRID_FLAGS),
+                     required=("n", "init")),
+    "table1": Command(cmd_table1, "reproduce the reference maxima for N=3,4,6,8",
+                      ("profile", "json", "out", "config", "n_list", "tau_step"),
+                      defaults={"tau_step": 0.01}),
+    "negativity": Command(cmd_negativity, "double negativity of one split at one tau",
+                          ("n", "init", "profile", "json", "config", "tau", "partition"),
+                          required=("n", "init", "tau", "partition")),
+    "first-max": Command(cmd_first_max, "first qualifying maximum of a witness curve",
+                         ("n", "init", "profile", "json", "config", *GRID_FLAGS,
+                          "quantity", "min_value"),
+                         required=("n", "init")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,34 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimal entanglement of bipartite decompositions for spin-1/2 chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Flags go by full name only: table1 would otherwise read "--n 5" as "--n-list 5".
-    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
-
-    p_sweep = add_parser("sweep", help="witness curves on a tau grid (CSV)")
-    _add_common_flags(p_sweep, json_flag=False, out=True)
-    _add_grid_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_t1 = add_parser("table1", help="reproduce the reference maxima for N=3,4,6,8")
-    _add_common_flags(p_t1, chain=False, out=True)
-    p_t1.add_argument("--n-list", type=str, default=None, help="subset of 3,4,6,8")
-    p_t1.add_argument("--tau-step", type=float, default=0.01)
-    p_t1.set_defaults(func=cmd_table1)
-
-    p_neg = add_parser("negativity", help="double negativity of one split at one tau")
-    _add_common_flags(p_neg)
-    p_neg.add_argument("--tau", type=float, required=False)
-    p_neg.add_argument("--partition", type=str, help="split spec like 1,2|3,4")
-    p_neg.set_defaults(func=cmd_negativity)
-
-    p_fm = add_parser("first-max", help="first qualifying maximum of a witness curve")
-    _add_common_flags(p_fm)
-    _add_grid_flags(p_fm)
-    p_fm.add_argument("--quantity", default="mebd")
-    p_fm.add_argument("--min-value", type=float, default=0.5)
-    p_fm.set_defaults(func=cmd_first_max)
-
-    parser.set_defaults(subcommands=sub.choices)
+    for name, cmd in COMMANDS.items():
+        # Flags go by full name only: table1 would otherwise read "--n 5" as "--n-list 5".
+        p = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
+        for dest in cmd.flags:
+            p.add_argument(_option(dest), **FLAGS[dest])
+        p.set_defaults(**cmd.defaults)
     return parser
 
 
@@ -354,12 +342,9 @@ _shared_parser = functools.cache(build_parser)  # built by the first main() call
 
 def _validate_required(args: argparse.Namespace) -> None:
     """Presence only: SweepConfig, evolve and basis_index check the values."""
-    if args.command in ("sweep", "negativity", "first-max"):
-        if args.n is None or args.init is None:
-            raise ValueError("--n and --init are required (flags or --config)")
-    if args.command == "negativity":
-        if args.tau is None or args.partition is None:
-            raise ValueError("--tau and --partition are required")
+    missing = [_option(d) for d in COMMANDS[args.command].required if getattr(args, d) is None]
+    if missing:
+        raise ValueError(f"missing required flags: {', '.join(missing)} (flags or --config)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -368,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             args = _apply_config(args, argv)
         _validate_required(args)
-        return args.func(args)
+        return COMMANDS[args.command].handler(args)
     except SystemExit as exc:
         return EXIT_BAD_FLAGS if exc.code not in (0, None) else 0
     # LinAlgError subclasses ValueError, so this handler must come first.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -88,7 +89,7 @@ def _negativities(rho: np.ndarray, parts: Iterable[Bipartition]) -> list[float]:
 
     Decided once per state: if rho is exactly zero (no tolerance) between basis
     states of different excitation number, each rho^{T_A} is solved block by
-    block, all-zero columns dropped; any other rho takes the dense eigensolve.
+    block; any other rho takes the dense eigensolve.
     """
     n = n_sites_of(rho)
     sectors = _pt_blocks(n, (1 << n) - 1)
@@ -99,10 +100,8 @@ def _negativities(rho: np.ndarray, parts: Iterable[Bipartition]) -> list[float]:
         if not blocked:
             values.append(linalg.negative_sum(pt))
             continue
-        support = pt.any(axis=0)
-        w = [_block_eigvalsh(pt[np.ix_(b, b)])
-             for b in (b[support[b]] for b in _pt_blocks(n, p.part_a.mask)) if b.size]
-        values.append(linalg.negative_sum_of_eigenvalues(np.concatenate([np.zeros(0), *w])))
+        w = [_block_eigvalsh(pt[np.ix_(b, b)]) for b in _pt_blocks(n, p.part_a.mask)]
+        values.append(linalg.negative_sum_of_eigenvalues(np.concatenate(w)))
     return values
 
 
@@ -142,6 +141,9 @@ def pairwise_negativity(rho: np.ndarray, parts: list[SiteSet], i: int, j: int) -
     """Double negativity between parts[i] and parts[j] after tracing out the rest."""
     rho = linalg.check_hermitian(rho)
     n = n_sites_of(rho)
+    for k in (i, j):
+        if not isinstance(k, numbers.Integral) or not 0 <= k < len(parts):
+            raise ValueError(f"part index must be 0..{len(parts) - 1}, got {k}")
     if i == j:
         raise ValueError("i and j must differ")
     union = 0
@@ -236,7 +238,7 @@ def lower_estimate_level(rho: np.ndarray, level: int) -> float:
     n = n_sites_of(rho)
     if n < 2:
         raise ValueError(f"need at least 2 sites, got {n}")
-    if not 1 <= level <= max_level(n):
+    if not isinstance(level, numbers.Integral) or not 1 <= level <= max_level(n):
         raise ValueError(f"level must be 1..{max_level(n)} for {n} sites, got {level}")
 
     table = _split_table(rho)

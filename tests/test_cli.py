@@ -3,6 +3,8 @@ import inspect
 import json
 import math
 import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +51,16 @@ class TestSweepCommand:
         assert manifest["config"]["n_sites"] == 3
         assert manifest["profile_used"] == "all-pairs"
 
+    @pytest.mark.parametrize("extra, label", [((), "1|2.3"),
+                                              (("--e1-partition", "1,2|3"), "1.2|3")])
+    def test_manifest_records_e1_partition(self, capsys, tmp_path, extra, label):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--n", "3", "--init", "010", "--tau-max", "0.5",
+                             "--tau-step", "0.25", "--out", str(out), *extra)
+        assert code == 0
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["config"]["e1_partition"] == label
+
     def test_ground_state_all_zero(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--n", "2", "--init", "00",
                                "--tau-max", "1.0", "--tau-step", "0.25")
@@ -74,6 +86,19 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--n", "3")
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize("argv, missing", [
+        (("sweep", "--n", "3"), {"--init"}),
+        (("first-max", "--init", "010"), {"--n"}),
+        (("negativity", "--n", "3", "--init", "010", "--tau", "1"), {"--partition"}),
+        (("negativity",), {"--n", "--init", "--tau", "--partition"}),
+    ], ids=["sweep-init", "first-max-n", "negativity-partition", "negativity-all"])
+    def test_missing_flags_named(self, capsys, argv, missing):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert not out
+        for flag in ("--n", "--init", "--tau", "--partition"):
+            assert (flag in re.findall(r"--[\w-]+", err)) == (flag in missing)
 
     def test_init_length_mismatch(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--n", "3", "--init", "0100")
@@ -117,6 +142,27 @@ class TestSweepCommand:
         assert code == 2
         assert repr(key) in err
         assert not out
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    @pytest.mark.parametrize("dest", cli.FLAGS)
+    def test_config_keys_follow_the_table(self, capsys, tmp_path, command, dest):
+        # A config key is accepted iff its flag is in the subcommand's row of
+        # COMMANDS; --config itself is never a key.
+        spec = cli.FLAGS[dest]
+        value = True if spec.get("action") == "store_true" else spec.get("choices", ["1"])[0]
+        key = dest.replace("_", "-")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = [command, "--config", str(cfg)]
+        if dest in cli.COMMANDS[command].flags and dest != "config":
+            args = cli._apply_config(cli._shared_parser().parse_args(argv), argv)
+            expected = True if value is True else spec.get("type", str)(value)
+            assert getattr(args, dest) == expected
+        else:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert f"unknown config key {key!r}" in err
+            assert not out
 
     def test_config_strings_read_as_flags(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -360,3 +406,19 @@ class TestErrorContract:
                    if issubclass(cls, Exception) and cls.__module__.startswith("mebd")]
         assert defined
         assert all(issubclass(cls, ValueError) for cls in defined), defined
+
+
+def test_readme_flag_table_matches_commands():
+    # README's "common flags per subcommand" table must say what COMMANDS says.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("The common flags per subcommand:", 1)[1].strip().split("\n\n")[0]
+    header, _, *rows = [[c.strip() for c in line.strip("|").split("|")]
+                        for line in table.splitlines()]
+    columns = [re.findall(r"--([\w-]+)", cell) for cell in header[1:]]
+    common = {f for col in columns for f in col}
+    readme_rows = {}
+    for row in rows:
+        marked = {f for col, cell in zip(columns, row[1:]) if cell == "yes" for f in col}
+        readme_rows[row[0].strip("`")] = marked
+    assert readme_rows == {name: {f.replace("_", "-") for f in cmd.flags} & common
+                           for name, cmd in cli.COMMANDS.items()}

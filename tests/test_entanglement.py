@@ -156,6 +156,10 @@ class TestPairwiseNegativity:
             pairwise_negativity(rho, overlapping, 0, 1)
         with pytest.raises(ValueError, match="must differ"):
             pairwise_negativity(rho, [SiteSet.from_sites(3, [1])], 0, 0)
+        singles = [SiteSet.from_sites(3, [i]) for i in (1, 2, 3)]
+        for i, j, bad in [(0, 5, 5), (0, -1, -1), (-3, 0, -3), (3, 0, 3), (0.0, 1, 0.0)]:
+            with pytest.raises(ValueError, match=rf"part index must be 0\.\.2, got {bad}$"):
+                pairwise_negativity(rho, singles, i, j)
 
 
 class TestMebd:
@@ -238,6 +242,10 @@ class TestLowerEstimateLevel:
             lower_estimate_level(rho, 0)
         with pytest.raises(ValueError, match="level must be 1"):
             lower_estimate_level(rho, max_level(3) + 1)
+        # 1.5 lies inside 1..max_level(4) but is not a level.
+        rho4 = pure_density(random_pure_state(rng, 16))
+        with pytest.raises(ValueError, match="level must be 1"):
+            lower_estimate_level(rho4, 1.5)
 
     def test_single_site_register(self):
         with pytest.raises(ValueError, match="need at least 2 sites"):
