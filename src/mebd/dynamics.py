@@ -182,8 +182,10 @@ def find_first_maximum(series: list[SweepRecord], quantity: str = MEBD,
 
     The reported location is refined by the parabola through the point and
     its neighbours, which needs a uniform grid; min_value filters the small
-    ripples near tau = 0.
+    ripples near tau = 0 (-inf filters nothing).
     """
+    if math.isnan(min_value):
+        raise ValueError("min_value must not be NaN")
     if not series:
         raise NoMaximumFound("empty series")
     taus = [r.tau for r in series]

@@ -55,53 +55,47 @@ def enumerate_bipartitions(n_sites: int) -> tuple[Bipartition, ...]:
     return parts
 
 
-def _block_eigvalsh(block: np.ndarray) -> np.ndarray:
-    n = block.shape[0]
-    if n == 1:
-        return block.real.reshape(1)
-    if n == 2:
-        half_tr = 0.5 * (block[0, 0].real + block[1, 1].real)
-        disc = math.hypot(0.5 * (block[0, 0].real - block[1, 1].real), abs(block[0, 1]))
-        return np.array([half_tr - disc, half_tr + disc])
-    return np.linalg.eigvalsh(block)
-
-
 @functools.lru_cache(maxsize=4096)
 def _pt_blocks(n_sites: int, mask: int) -> tuple[np.ndarray, ...]:
-    """Basis indices of each diagonal block of rho^{T_A}, A the sites of mask.
+    """Basis indices of the diagonal blocks of rho^{T_A}, A the sites of mask, by size.
 
     If rho conserves the excitation number, rho^{T_A} couples only basis states
     of equal imbalance (excitations in A) - (excitations in B) (Cornfeld,
-    Goldstein and Sela, PRA 98, 032302, 2018).  Blocks come in ascending
-    imbalance, indices ascending; A = all sites gives rho's excitation sectors.
+    Goldstein and Sela, PRA 98, 032302, 2018); A = all sites gives rho's
+    excitation sectors.  One read-only (count, m) array per block size m, sizes
+    ascending; each row is one block, in ascending imbalance, indices ascending.
     """
     idx = np.arange(1 << n_sites)
     sites_a = SiteSet(n_sites, mask).sites()
     labels = sum((idx >> site_index_bit(s, n_sites) & 1) * (1 if s in sites_a else -1)
                  for s in range(1, n_sites + 1))
-    order = np.argsort(labels, kind="stable")
+    size = np.bincount(labels + n_sites)[labels + n_sites]  # each index's block size
+    order = np.lexsort((labels, size))
     order.setflags(write=False)
-    return tuple(np.split(order, np.flatnonzero(np.diff(labels[order])) + 1))
+    cuts = np.flatnonzero(np.diff(size[order])) + 1
+    return tuple(b.reshape(-1, size[b[0]]) for b in np.split(order, cuts))
 
 
 def _negativities(rho: np.ndarray, parts: Iterable[Bipartition]) -> list[float]:
     """double_negativity of an already validated rho for each split in parts.
 
     Decided once per state: if rho is exactly zero (no tolerance) between basis
-    states of different excitation number, each rho^{T_A} is solved block by
-    block; any other rho takes the dense eigensolve.
+    states of different excitation number, each rho^{T_A} is solved with one
+    batched eigvalsh per block size; any other rho takes the dense eigensolve.
     """
     n = n_sites_of(rho)
-    sectors = _pt_blocks(n, (1 << n) - 1)
-    blocked = np.count_nonzero(rho) == sum(np.count_nonzero(rho[np.ix_(s, s)]) for s in sectors)
+    # rho[b[..., None], b[:, None]] gathers the (count, m, m) stack of blocks of b.
+    blocked = np.count_nonzero(rho) == sum(np.count_nonzero(rho[b[..., None], b[:, None]])
+                                           for b in _pt_blocks(n, (1 << n) - 1))
     values = []
     for p in parts:
         pt = partial_transpose(rho, p.part_a)
         if not blocked:
             values.append(linalg.negative_sum(pt))
             continue
-        w = [_block_eigvalsh(pt[np.ix_(b, b)]) for b in _pt_blocks(n, p.part_a.mask)]
-        values.append(linalg.negative_sum_of_eigenvalues(np.concatenate(w)))
+        w = [np.linalg.eigvalsh(pt[b[..., None], b[:, None]])
+             for b in _pt_blocks(n, p.part_a.mask)]
+        values.append(linalg.negative_sum_of_eigenvalues(np.concatenate(w, axis=None)))
     return values
 
 
@@ -142,7 +136,7 @@ def pairwise_negativity(rho: np.ndarray, parts: list[SiteSet], i: int, j: int) -
     rho = linalg.check_hermitian(rho)
     n = n_sites_of(rho)
     for k in (i, j):
-        if not isinstance(k, numbers.Integral) or not 0 <= k < len(parts):
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k < len(parts):
             raise ValueError(f"part index must be 0..{len(parts) - 1}, got {k}")
     if i == j:
         raise ValueError("i and j must differ")
@@ -238,7 +232,8 @@ def lower_estimate_level(rho: np.ndarray, level: int) -> float:
     n = n_sites_of(rho)
     if n < 2:
         raise ValueError(f"need at least 2 sites, got {n}")
-    if not isinstance(level, numbers.Integral) or not 1 <= level <= max_level(n):
+    if (isinstance(level, bool) or not isinstance(level, numbers.Integral)
+            or not 1 <= level <= max_level(n)):
         raise ValueError(f"level must be 1..{max_level(n)} for {n} sites, got {level}")
 
     table = _split_table(rho)

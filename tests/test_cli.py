@@ -2,8 +2,11 @@ import importlib
 import inspect
 import json
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +334,13 @@ class TestFirstMaxCommand:
         payload = json.loads(out)
         assert abs(payload["tau_star"] - 1.505) < 0.01
 
+    def test_nan_min_value(self, capsys):
+        code, out, err = run_cli(capsys, "first-max", "--n", "4", "--init", "1001",
+                                 "--min-value", "nan")
+        assert code == 2
+        assert "min_value must not be NaN" in err
+        assert not out
+
     def test_no_maximum(self, capsys):
         code, _, err = run_cli(capsys, "first-max", "--n", "2", "--init", "00",
                                "--tau-max", "1.0", "--tau-step", "0.25",
@@ -422,3 +432,33 @@ def test_readme_flag_table_matches_commands():
         readme_rows[row[0].strip("`")] = marked
     assert readme_rows == {name: {f.replace("_", "-") for f in cmd.flags} & common
                            for name, cmd in cli.COMMANDS.items()}
+
+
+# An N=6 sweep with e1_fixed and an N=6 ladder both reach the mixed-state
+# kernel through reduced states; the negativity query takes the pure one.
+# Every number is printed with repr, so equal output means equal floats.
+THREAD_WORKLOAD = """
+import numpy as np
+from mebd import cli, dynamics, entanglement
+cli.main(["sweep", "--n", "6", "--init", "100110", "--tau-min", "0.5", "--tau-max", "2.0",
+          "--tau-step", "0.5", "--quantities", "mebd,e1_fixed"])
+psi = next(dynamics.evolve(6, "100110", [1.3]))
+rho = np.outer(psi, psi.conj())
+print([entanglement.lower_estimate_level(rho, k) for k in range(1, entanglement.max_level(6) + 1)])
+cli.main(["negativity", "--n", "6", "--init", "100110", "--tau", "1.3",
+          "--partition", "1,2|3,4,5,6"])
+"""
+
+
+def test_output_independent_of_blas_thread_count():
+    src = str(Path(mebd.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", THREAD_WORKLOAD], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    # Header and four sweep rows, the ladder, the query.
+    assert len(outputs[0].splitlines()) == 7
+    assert outputs[0] == outputs[1]

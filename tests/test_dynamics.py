@@ -193,6 +193,13 @@ class TestFindFirstMaximum:
         report = find_first_maximum(series, MEBD, min_value=0.5)
         assert abs(report.tau_star - 1.5) < 0.1
 
+    def test_nan_min_value_rejected(self):
+        series = [SweepRecord(tau=t, values={MEBD: 1 - (t - 1) ** 2}) for t in (0.5, 1.0, 1.5)]
+        with pytest.raises(ValueError, match="min_value") as exc:
+            find_first_maximum(series, MEBD, min_value=math.nan)
+        assert not isinstance(exc.value, NoMaximumFound)
+        assert find_first_maximum(series, MEBD, min_value=-math.inf).tau_star == 1.0
+
     def test_grid_convergence(self):
         coarse_step = 0.02
         reports = []

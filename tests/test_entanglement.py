@@ -157,7 +157,8 @@ class TestPairwiseNegativity:
         with pytest.raises(ValueError, match="must differ"):
             pairwise_negativity(rho, [SiteSet.from_sites(3, [1])], 0, 0)
         singles = [SiteSet.from_sites(3, [i]) for i in (1, 2, 3)]
-        for i, j, bad in [(0, 5, 5), (0, -1, -1), (-3, 0, -3), (3, 0, 3), (0.0, 1, 0.0)]:
+        for i, j, bad in [(0, 5, 5), (0, -1, -1), (-3, 0, -3), (3, 0, 3), (0.0, 1, 0.0),
+                          (False, 1, False), (0, True, True)]:
             with pytest.raises(ValueError, match=rf"part index must be 0\.\.2, got {bad}$"):
                 pairwise_negativity(rho, singles, i, j)
 
@@ -246,6 +247,9 @@ class TestLowerEstimateLevel:
         rho4 = pure_density(random_pure_state(rng, 16))
         with pytest.raises(ValueError, match="level must be 1"):
             lower_estimate_level(rho4, 1.5)
+        # True == 1, but a bool is not a level.
+        with pytest.raises(ValueError, match="level must be 1"):
+            lower_estimate_level(rho4, True)
 
     def test_single_site_register(self):
         with pytest.raises(ValueError, match="need at least 2 sites"):
