@@ -179,8 +179,8 @@ def _sweep_diagnostics(records, cfg: SweepConfig) -> dict:
 def cmd_table1(args: argparse.Namespace) -> int:
     kind = CouplingKind(args.profile)
     try:
-        n_list = [int(s) for s in args.n_list.split(",")] if args.n_list else [3, 4, 6, 8]
-        if any(n not in REFERENCE_MAXIMA for n in n_list):
+        n_list = [3, 4, 6, 8] if args.n_list is None else [int(s) for s in args.n_list.split(",")]
+        if any(n not in REFERENCE_MAXIMA for n in n_list) or len(set(n_list)) < len(n_list):
             raise ValueError
     except ValueError:
         raise ValueError(f"--n-list entries must be among {sorted(REFERENCE_MAXIMA)}") from None

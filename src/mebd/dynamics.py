@@ -51,6 +51,7 @@ class SweepConfig:
     fixed_bipartition: Bipartition | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "profile", CouplingKind(self.profile))  # a name or the enum
         if not 2 <= self.n_sites <= MAX_SITES:
             raise ValueError(f"n_sites must be 2..{MAX_SITES}, got {self.n_sites}")
         if len(self.initial_label) != self.n_sites:

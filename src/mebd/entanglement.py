@@ -8,9 +8,9 @@ level-k estimators bracket it from above and below.
 There is one kernel per kind of state: pure states use their Schmidt values
 (pure_double_negativity, batched over a stack of states), mixed reduced states
 use the partial transpose (_negativities, blocked or dense as decided once
-per state).  Each public function that takes a density matrix checks it once
-(linalg.check_hermitian raises ValueError for a non-Hermitian matrix or
-NaN/Inf entries); the kernels behind them do not.
+per state, on site masks).  Each public function that takes a density
+matrix checks it on entry (linalg.check_hermitian raises ValueError for a
+non-Hermitian matrix or NaN/Inf entries); the kernels behind them do not.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def _pt_blocks(n_sites: int, mask: int) -> tuple[np.ndarray, ...]:
     return tuple(b.reshape(-1, size[b[0]]) for b in np.split(order, cuts))
 
 
-def _negativities(rho: np.ndarray, parts: Iterable[Bipartition]) -> list[float]:
-    """double_negativity of an already validated rho for each split in parts.
+def _negativities(rho: np.ndarray, masks: Iterable[int]) -> list[float]:
+    """double_negativity of an already validated rho for each split A|B, A given by its mask.
 
     Decided once per state: if rho is exactly zero (no tolerance) between basis
     states of different excitation number, each rho^{T_A} is solved with one
@@ -88,13 +88,12 @@ def _negativities(rho: np.ndarray, parts: Iterable[Bipartition]) -> list[float]:
     blocked = np.count_nonzero(rho) == sum(np.count_nonzero(rho[b[..., None], b[:, None]])
                                            for b in _pt_blocks(n, (1 << n) - 1))
     values = []
-    for p in parts:
-        pt = partial_transpose(rho, p.part_a)
+    for mask in masks:
+        pt = partial_transpose(rho, SiteSet(n, mask))
         if not blocked:
             values.append(linalg.negative_sum(pt))
             continue
-        w = [np.linalg.eigvalsh(pt[b[..., None], b[:, None]])
-             for b in _pt_blocks(n, p.part_a.mask)]
+        w = [np.linalg.eigvalsh(pt[b[..., None], b[:, None]]) for b in _pt_blocks(n, mask)]
         values.append(linalg.negative_sum_of_eigenvalues(np.concatenate(w, axis=None)))
     return values
 
@@ -104,7 +103,10 @@ def double_negativity(rho: np.ndarray, p: Bipartition) -> float:
 
     Solved block by block if rho conserves the excitation number exactly, else dense.
     """
-    return _negativities(linalg.check_hermitian(rho), [p])[0]
+    rho = linalg.check_hermitian(rho)
+    if p.n_sites != n_sites_of(rho):
+        raise ValueError(f"rho dimension {rho.shape[0]} != 2^{p.n_sites}")
+    return _negativities(rho, [p.part_a.mask])[0]
 
 
 def schmidt_matrices(psis: np.ndarray, p: Bipartition) -> np.ndarray:
@@ -150,23 +152,18 @@ def pairwise_negativity(rho: np.ndarray, parts: list[SiteSet], i: int, j: int) -
     if union != (1 << n) - 1:
         raise ValueError("parts do not cover the register")
     keep = SiteSet(n, parts[i].mask | parts[j].mask)
-    # Relabel parts[i]'s sites inside the reduced register (kept sites stay ordered).
-    kept = keep.sites()
-    local_a = SiteSet.from_sites(len(kept), (kept.index(s) + 1 for s in parts[i].sites()))
-    return _negativities(partial_trace(rho, keep), [Bipartition(local_a, local_a.complement())])[0]
-
-
-def _mebd(rho: np.ndarray) -> MebdResult:
-    """mebd of an already validated rho."""
-    parts = enumerate_bipartitions(n_sites_of(rho))
-    values = _negativities(rho, parts)
-    best = min(range(len(values)), key=values.__getitem__)
-    return MebdResult(values[best], parts[best], dict(zip(parts, values)))
+    # Bit k of the reduced register is the k-th kept site (kept sites stay ordered).
+    local_a = sum(1 << k for k, s in enumerate(keep.sites()) if parts[i].mask >> (s - 1) & 1)
+    return _negativities(partial_trace(rho, keep), [local_a])[0]
 
 
 def mebd(rho: np.ndarray) -> MebdResult:
     """Minimum double negativity over every bipartition of the register."""
-    return _mebd(linalg.check_hermitian(rho))
+    rho = linalg.check_hermitian(rho)
+    parts = enumerate_bipartitions(n_sites_of(rho))
+    values = _negativities(rho, [p.part_a.mask for p in parts])
+    best = min(range(len(values)), key=values.__getitem__)
+    return MebdResult(values[best], parts[best], dict(zip(parts, values)))
 
 
 def single_node_witness(rho: np.ndarray) -> float:
@@ -175,7 +172,7 @@ def single_node_witness(rho: np.ndarray) -> float:
     n = n_sites_of(rho)
     if n < 2:
         raise ValueError("need at least 2 sites")
-    return min(_negativities(rho, [Bipartition.from_masks(n, 1 << s) for s in range(n)]))
+    return min(_negativities(rho, [1 << s for s in range(n)]))
 
 
 def lower_estimate_1(rho: np.ndarray, j: Bipartition) -> float:
@@ -185,10 +182,13 @@ def lower_estimate_1(rho: np.ndarray, j: Bipartition) -> float:
     omitted from the min.
     """
     rho = linalg.check_hermitian(rho)
-    terms = [_negativities(rho, [j])[0]]
+    if j.n_sites != n_sites_of(rho):
+        raise ValueError(f"rho dimension {rho.shape[0]} != 2^{j.n_sites}")
+    terms = _negativities(rho, [j.part_a.mask])
     for part in (j.part_a, j.part_b):
         if part.size() >= 2:
-            terms.append(_mebd(partial_trace(rho, part)).value)
+            sub = partial_trace(rho, part)  # its canonical splits: site 1 in A, B nonempty
+            terms.append(min(_negativities(sub, range(1, (1 << part.size()) - 1, 2))))
     return min(terms)
 
 
@@ -200,59 +200,57 @@ def max_level(n_sites: int) -> int:
 def _split_table(rho: np.ndarray) -> dict[int, dict[int, float]]:
     """Double negativity of every split of every reduced state with two or more sites.
 
-    Row S (a site bitmask) is mebd(partial_trace(rho, S)).per_partition, keyed
-    by the bitmask of the part A that holds S's first site: table[S][A] is
-    N_{A, S-A} on rho_S.  Each rho_S is traced from rho once.
+    Row S (a site bitmask) holds the canonical splits of rho_S, keyed by the
+    bitmask of the part A that holds S's first site: table[S][A] is N_{A, S-A}
+    on rho_S.  Each rho_S is traced from rho once.
     """
     n = n_sites_of(rho)
     table = {}
-    for mask in range(1, 1 << n):
-        keep = SiteSet(n, mask)
-        sites = keep.sites()
-        if len(sites) < 2:
+    for keep in range(1, 1 << n):
+        bits = [b for b in range(n) if keep >> b & 1]  # bit k of rho_S is site bits[k] + 1
+        if len(bits) < 2:
             continue
-        per = _mebd(partial_trace(rho, keep)).per_partition
-        table[mask] = {
-            SiteSet.from_sites(n, (sites[k - 1] for k in p.part_a.sites())).mask: value
-            for p, value in per.items()
-        }
+        local = range(1, (1 << len(bits)) - 1, 2)
+        values = _negativities(partial_trace(rho, SiteSet(n, keep)), local)
+        table[keep] = {sum(1 << b for k, b in enumerate(bits) if a >> k & 1): v
+                       for a, v in zip(local, values)}
     return table
 
 
-def lower_estimate_level(rho: np.ndarray, level: int) -> float:
-    """Level-k lower estimator of MEBD.
+def lower_estimates(rho: np.ndarray) -> list[float]:
+    """The level-k lower estimators of MEBD, k = 1..max_level(N): non-increasing in k.
 
-    Level 0 is exact MEBD; level k replaces each subsystem MEBD by that
-    subsystem's level-(k-1) estimate and maximizes over all decomposition
-    choices.  Non-increasing in k.  One call builds the table of every
-    split negativity of every reduced state once (_split_table) and runs the
-    recursion over its numbers.
+    E^0 is exact MEBD and E^k(S) = max over splits A|B of S of min(E^(k-1)(A),
+    E^(k-1)(B), N_{A,B}), with E = +inf on single sites.  The table of every
+    split negativity of every reduced state is built once (_split_table);
+    each level is one pass over its rows.
     """
     rho = linalg.check_hermitian(rho)
     n = n_sites_of(rho)
     if n < 2:
         raise ValueError(f"need at least 2 sites, got {n}")
+    table = _split_table(rho)
+    est = {s: min(row.values()) for s, row in table.items()}
+    ladder = []
+    for _ in range(max_level(n)):
+        prev = est
+        est = {s: max(min(prev.get(a, math.inf), prev.get(s ^ a, math.inf), cross)
+                      for a, cross in row.items())
+               for s, row in table.items()}
+        ladder.append(est[(1 << n) - 1])
+    return ladder
+
+
+def lower_estimate_level(rho: np.ndarray, level: int) -> float:
+    """Level-k lower estimator of MEBD: entry k of lower_estimates.
+
+    Each call builds the split table anew, so a whole ladder is cheaper
+    from one lower_estimates call than from one call per level.
+    """
+    n = n_sites_of(linalg.check_hermitian(rho))
+    if n < 2:
+        raise ValueError(f"need at least 2 sites, got {n}")
     if (isinstance(level, bool) or not isinstance(level, numbers.Integral)
             or not 1 <= level <= max_level(n)):
         raise ValueError(f"level must be 1..{max_level(n)} for {n} sites, got {level}")
-
-    table = _split_table(rho)
-    memo: dict[tuple[int, int], float] = {}
-
-    def estimate(mask: int, lev: int) -> float:
-        # E^(lev) of the reduced state on the sites of mask; +inf for single sites.
-        row = table.get(mask)
-        if row is None:
-            return math.inf
-        key = (mask, lev)
-        if key not in memo:
-            if lev == 0:
-                memo[key] = min(row.values())
-            else:
-                val = 0.0
-                for a, cross in row.items():
-                    val = max(val, min(estimate(a, lev - 1), estimate(mask ^ a, lev - 1), cross))
-                memo[key] = val
-        return memo[key]
-
-    return estimate((1 << n) - 1, level)
+    return lower_estimates(rho)[level - 1]

@@ -11,7 +11,7 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -100,28 +100,6 @@ def basis_index(label: str) -> int:
 def site_index_bit(site: int, n_sites: int) -> int:
     """Bit position of site (1-based) inside a basis index."""
     return n_sites - site
-
-
-def pure_density(state: str | Sequence[complex], n_sites: int | None = None) -> np.ndarray:
-    """Density matrix |psi><psi| from a basis label or an amplitude vector."""
-    if isinstance(state, str):
-        idx = basis_index(state)
-        dim = 1 << len(state)
-        psi = np.zeros(dim, dtype=np.complex128)
-        psi[idx] = 1.0
-    else:
-        psi = np.asarray(state, dtype=np.complex128)
-        if psi.ndim != 1:
-            raise ValueError("amplitude vector must be one-dimensional")
-        n = psi.shape[0]
-        if n & (n - 1) or n < 2:
-            raise ValueError(f"amplitude vector length {n} is not a power of two")
-        norm = np.linalg.norm(psi)
-        if not abs(norm - 1.0) <= 1e-10:  # written so that a NaN norm fails too
-            raise ValueError(f"|psi| = {norm!r}")
-    if n_sites is not None and psi.shape[0] != (1 << n_sites):
-        raise ValueError(f"state dimension {psi.shape[0]} != 2^{n_sites}")
-    return np.outer(psi, psi.conj())
 
 
 def n_sites_of(rho: np.ndarray) -> int:

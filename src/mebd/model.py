@@ -37,6 +37,7 @@ def build_hdz(n_sites: int, k: int,
     """
     if not 2 <= n_sites <= MAX_SITES:
         raise ValueError(f"n_sites must be 2..{MAX_SITES}, got {n_sites}")
+    profile = CouplingKind(profile)  # a name such as "nearest-neighbor"; ValueError otherwise
     sector = np.array(excitation_sector(n_sites, k))
     pairs = [(site_index_bit(i, n_sites), site_index_bit(j, n_sites), profile.coupling(i, j))
              for i in range(1, n_sites + 1) for j in range(i + 1, n_sites + 1)]

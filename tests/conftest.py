@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mebd.hilbert import site_index_bit
+from mebd import linalg
+from mebd.hilbert import basis_index, partial_transpose, site_index_bit
 from mebd.model import CouplingKind
 
 
@@ -36,6 +37,38 @@ def random_sector_state(rng, n_sites, k):
     amps = rng.normal(size=len(sec)) + 1j * rng.normal(size=len(sec))
     psi[sec] = amps / np.linalg.norm(amps)
     return psi
+
+
+def pure_density(state, n_sites=None):
+    """Density matrix |psi><psi| from a basis label or an amplitude vector.
+
+    The package never forms a pure-state density matrix (pure states go
+    through their Schmidt values); the tests build one to reach the
+    mixed-state kernel and the dense oracle.
+    """
+    if isinstance(state, str):
+        idx = basis_index(state)
+        dim = 1 << len(state)
+        psi = np.zeros(dim, dtype=np.complex128)
+        psi[idx] = 1.0
+    else:
+        psi = np.asarray(state, dtype=np.complex128)
+        if psi.ndim != 1:
+            raise ValueError("amplitude vector must be one-dimensional")
+        n = psi.shape[0]
+        if n & (n - 1) or n < 2:
+            raise ValueError(f"amplitude vector length {n} is not a power of two")
+        norm = np.linalg.norm(psi)
+        if not abs(norm - 1.0) <= 1e-10:  # written so that a NaN norm fails too
+            raise ValueError(f"|psi| = {norm!r}")
+    if n_sites is not None and psi.shape[0] != (1 << n_sites):
+        raise ValueError(f"state dimension {psi.shape[0]} != 2^{n_sites}")
+    return np.outer(psi, psi.conj())
+
+
+def dense_negativity(rho, p):
+    """Dense oracle of the double negativity: the full eigensolve of rho^{T_A}."""
+    return linalg.negative_sum(partial_transpose(rho, p.part_a))
 
 
 def bell_state():

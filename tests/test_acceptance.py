@@ -24,14 +24,14 @@ from mebd.hilbert import (
     Bipartition,
     SiteSet,
     excitation_sector,
-    partial_transpose,
-    pure_density,
 )
 from conftest import (
     bell_state,
+    dense_negativity,
     full_hdz,
     ghz_state,
     iz_commutator,
+    pure_density,
     random_pure_state,
     random_sector_state,
     w_state,
@@ -208,7 +208,7 @@ def test_criterion_7_oracle_equivalence(monkeypatch):
         k = rng.integers(1, n)
         rho = pure_density(random_sector_state(rng, n, int(k)))
         for p in enumerate_bipartitions(n):
-            dense = linalg.negative_sum(partial_transpose(rho, p.part_a))
+            dense = dense_negativity(rho, p)
             worst_blocked = max(worst_blocked, abs(double_negativity(rho, p) - dense))
 
     # Sector states must be solved block by block, never by the dense fallback.

@@ -300,12 +300,16 @@ class TestTable1Command:
             == (0.0, 3.0, 0.01)
         assert manifest["quantities"] == ["mebd"]
 
-    def test_bad_n(self, capsys):
-        for n_list in ("5", "3,", "x"):
-            code, out, err = run_cli(capsys, "table1", "--n-list", n_list)
-            assert code == 2
-            assert "--n-list" in err
-            assert not out
+    def test_bad_n(self, capsys, tmp_path):
+        # An empty list is not the default list, and a row is asked for once.
+        cfg = tmp_path / "c.json"
+        for n_list in ("5", "3,", "x", "", "3,3"):
+            cfg.write_text(json.dumps({"n_list": n_list}))
+            for argv in (["--n-list", n_list], ["--config", str(cfg)]):
+                code, out, err = run_cli(capsys, "table1", *argv)
+                assert code == 2
+                assert "--n-list" in err
+                assert not out
 
 
 class TestFirstMaxCommand:

@@ -22,10 +22,10 @@ from mebd.dynamics import (
     sanity_tau_bound,
 )
 from mebd.entanglement import lower_estimate_1, mebd, single_node_witness
-from mebd.hilbert import excitation_sector, pure_density
+from mebd.hilbert import excitation_sector
 from mebd.model import CouplingKind
 
-from conftest import full_hdz
+from conftest import full_hdz, pure_density
 
 
 class TestSweepConfig:
@@ -57,6 +57,15 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(4, "1001", fixed_bipartition=default_fixed_bipartition(3))
 
+    def test_profile_by_name(self):
+        cfg = SweepConfig(3, "010", profile="nearest-neighbor", tau_end=0.5, tau_step=0.25)
+        assert cfg.profile is CouplingKind.NEAREST_NEIGHBOR
+        assert run_sweep(cfg) == run_sweep(
+            SweepConfig(3, "010", profile=CouplingKind.NEAREST_NEIGHBOR, tau_end=0.5, tau_step=0.25))
+        # An unknown name fails at construction, before any sweep.
+        with pytest.raises(ValueError, match="not a valid CouplingKind"):
+            SweepConfig(3, "010", profile="bogus")
+
 
 class TestEvolve:
     def test_matches_taylor_series(self):
@@ -82,6 +91,13 @@ class TestEvolve:
     def test_bad_label_length(self):
         with pytest.raises(ValueError):
             next(evolve(3, "0101", [0.0]))
+
+    def test_profile_by_name(self):
+        (psi,) = evolve(3, "010", [0.1], "all-pairs")
+        (ref,) = evolve(3, "010", [0.1], CouplingKind.ALL_PAIRS_DIPOLAR)
+        assert np.array_equal(psi, ref)
+        with pytest.raises(ValueError, match="not a valid CouplingKind"):
+            next(evolve(3, "010", [0.1], "bogus"))
 
     def test_memory_stays_in_sector(self):
         # The N=12 half-filled sector block is 924 x 924 (6.8 MB); a 2^12 x

@@ -11,6 +11,7 @@ from mebd.entanglement import (
     enumerate_bipartitions,
     lower_estimate_1,
     lower_estimate_level,
+    lower_estimates,
     max_level,
     mebd,
     pairwise_negativity,
@@ -23,10 +24,17 @@ from mebd.hilbert import (
     n_sites_of,
     partial_trace,
     partial_transpose,
-    pure_density,
 )
 
-from conftest import bell_state, ghz_state, random_pure_state, random_sector_state, w_state
+from conftest import (
+    bell_state,
+    dense_negativity,
+    ghz_state,
+    pure_density,
+    random_pure_state,
+    random_sector_state,
+    w_state,
+)
 
 
 def split(n, sites_a):
@@ -94,8 +102,15 @@ class TestDoubleNegativity:
         # Blocked eigensolve against the dense partial-transpose oracle.
         rho = pure_density(random_sector_state(rng, 4, 2))
         for p in enumerate_bipartitions(4):
-            dense = linalg.negative_sum(partial_transpose(rho, p.part_a))
+            dense = dense_negativity(rho, p)
             assert abs(double_negativity(rho, p) - dense) < 1e-9
+
+    def test_split_on_other_register_rejected(self):
+        # A 2-site split of a 3-site state must not be read as a split of sites 1..2.
+        rho = pure_density(ghz_state(3))
+        for call in (double_negativity, lower_estimate_1):
+            with pytest.raises(ValueError, match=r"rho dimension 8 != 2\^2"):
+                call(rho, split(2, [1]))
 
     def test_blocked_refuses_generic_state(self, rng, monkeypatch):
         # A state that does not conserve I_z has no block structure: the
@@ -254,6 +269,8 @@ class TestLowerEstimateLevel:
     def test_single_site_register(self):
         with pytest.raises(ValueError, match="need at least 2 sites"):
             lower_estimate_level(np.eye(2) / 2, 1)
+        with pytest.raises(ValueError, match="need at least 2 sites"):
+            lower_estimates(np.eye(2) / 2)
 
     def test_each_reduced_state_and_split_computed_once(self, monkeypatch):
         # N=7: 120 reduced states with two or more sites, 966 splits among them.
@@ -272,9 +289,12 @@ class TestLowerEstimateLevel:
 
         for name in counts:
             monkeypatch.setattr(entanglement, name, counted(name))
-        for level in range(1, max_level(7) + 1):
+        # Each level call builds the table anew; one lower_estimates call
+        # builds it once for the whole ladder.
+        calls = [functools.partial(lower_estimate_level, rho, k) for k in range(1, max_level(7) + 1)]
+        for call in calls + [functools.partial(lower_estimates, rho)]:
             counts.update(partial_trace=0, partial_transpose=0)
-            lower_estimate_level(rho, level)
+            call()
             assert counts == {"partial_trace": 120, "partial_transpose": 966}
 
 
@@ -298,8 +318,9 @@ def _bad_state(kind):
         rho, [SiteSet.from_sites(4, [1, 2]), SiteSet.from_sites(4, [3, 4])], 0, 1),
     lambda rho: lower_estimate_1(rho, split(4, [1, 2])),
     lambda rho: lower_estimate_level(rho, 1),
+    lower_estimates,
 ], ids=["double_negativity", "mebd", "single_node_witness", "pairwise_negativity",
-        "lower_estimate_1", "lower_estimate_level"])
+        "lower_estimate_1", "lower_estimate_level", "lower_estimates"])
 def test_bad_density_matrix_rejected(call, kind):
     with pytest.raises(ValueError, match={"non_hermitian": "exceeds", "nan": "NaN/Inf"}[kind]):
         call(_bad_state(kind))
@@ -362,7 +383,7 @@ def test_fast_path_matches_dense_oracle(case):
     rho = partial_trace(pure_density(psi), SiteSet(n, keep))
     p = Bipartition.from_masks(SiteSet(n, keep).size(), mask_a)
     value = double_negativity(rho, p)
-    assert abs(value - linalg.negative_sum(partial_transpose(rho, p.part_a))) < 1e-9
+    assert abs(value - dense_negativity(rho, p)) < 1e-9
 
     # Pure states: the Schmidt kernel on a stack (sector, generic, product)
     # against the dense partial-transpose oracle of each state.
@@ -370,7 +391,7 @@ def test_fast_path_matches_dense_oracle(case):
     stack = np.array([psi, random_pure_state(rng, 1 << n), random_product_state(rng, n)])
     values = pure_double_negativity(stack, p)
     for state, got in zip(stack[:2], values):
-        dense = linalg.negative_sum(partial_transpose(pure_density(state), p.part_a))
+        dense = dense_negativity(pure_density(state), p)
         assert abs(got - dense) < 1e-9
     assert values[2] == 0.0
 
@@ -423,3 +444,4 @@ def test_ladder_matches_reference_recursion(n, sector, seed):
     rho = pure_density(psi)
     ladder = [lower_estimate_level(rho, k) for k in range(1, max_level(n) + 1)]
     assert ladder == reference_ladder(rho)
+    assert lower_estimates(rho) == ladder

@@ -9,10 +9,9 @@ from mebd.hilbert import (
     excitation_sector,
     partial_trace,
     partial_transpose,
-    pure_density,
 )
 
-from conftest import bell_state, random_density, w_state
+from conftest import bell_state, pure_density, random_density, w_state
 
 
 class TestSiteSet:

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from mebd import linalg
-from mebd.hilbert import pure_density
 
-from conftest import bell_state, random_hermitian
+from conftest import bell_state, pure_density, random_hermitian
 
 
 class TestCheckHermitian:

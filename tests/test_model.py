@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mebd.dynamics import evolve
-from mebd.hilbert import basis_index, pure_density, excitation_sector
+from mebd.hilbert import basis_index, excitation_sector
 from mebd.model import CouplingKind, build_hdz
 
-from conftest import full_hdz, iz_commutator, total_iz
+from conftest import full_hdz, iz_commutator, pure_density, total_iz
 
 
 class TestCouplingProfile:
@@ -92,6 +92,13 @@ class TestBuildHdz:
     def test_bad_k(self, k):
         with pytest.raises(ValueError, match="outside 0..4"):
             build_hdz(4, k)
+
+    def test_profile_by_name(self):
+        assert np.array_equal(build_hdz(3, 1, "nearest-neighbor"),
+                              build_hdz(3, 1, CouplingKind.NEAREST_NEIGHBOR))
+        for bad in ("bogus", "", None, 1):
+            with pytest.raises(ValueError, match="not a valid CouplingKind"):
+                build_hdz(3, 1, bad)
 
 
 class TestTotalIz:
