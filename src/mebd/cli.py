@@ -47,9 +47,8 @@ def parse_partition(spec: str, n_sites: int) -> Bipartition:
     halves = spec.split("|")
     if len(halves) != 2:
         raise ValueError(f"partition must have exactly one '|': {spec!r}")
-    try:
-        sites_a = [int(s) for s in halves[0].split(",") if s]
-        sites_b = [int(s) for s in halves[1].split(",") if s]
+    try:  # an empty half is an empty part; an empty token between commas is no site
+        sites_a, sites_b = ([int(s) for s in half.split(",")] if half else [] for half in halves)
     except ValueError:
         raise ValueError(f"partition sites must be integers: {spec!r}") from None
     if len(set(sites_a + sites_b)) != len(sites_a) + len(sites_b):

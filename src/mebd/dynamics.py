@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import entanglement
-from .hilbert import MAX_SITES, Bipartition, SiteSet, basis_index, excitation_sector
+from .hilbert import (MAX_SITES, Bipartition, SiteSet, basis_index, excitation_sector,
+                      site_index_bit)
 from .model import CouplingKind, build_hdz
 
 MAX_GRID_POINTS = 100_000
@@ -94,10 +95,11 @@ class MaximumReport:
 
 def _evolve_batches(n_sites: int, initial_label: str, taus: Iterable[float],
                     profile: CouplingKind = CouplingKind.ALL_PAIRS_DIPOLAR
-                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (taus, psis) for consecutive batches of up to EVOLVE_BATCH grid points.
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray, list[int]]]:
+    """Yield (taus, amps, sector) for consecutive batches of up to EVOLVE_BATCH grid points.
 
-    psis has one row psi(tau) per tau, in the full 2^N basis.
+    amps has one row psi(tau) per tau, on the initial state's excitation
+    sector: the basis indices in sector (hilbert.excitation_sector).
     """
     if len(initial_label) != n_sites:
         raise ValueError("initial label length != n_sites")
@@ -111,19 +113,19 @@ def _evolve_batches(n_sites: int, initial_label: str, taus: Iterable[float],
         if bad.size:
             raise ValueError(f"tau must be finite, got {bad[0]}")
         amps = v @ (np.exp(-1j * np.outer(w, batch)) * c0[:, None])
-        psis = np.zeros((batch.size, 1 << n_sites), dtype=np.complex128)
-        psis[:, sector] = amps.T
-        yield batch, psis
+        yield batch, np.ascontiguousarray(amps.T), sector
 
 
 def evolve(n_sites: int, initial_label: str, taus: Iterable[float],
            profile: CouplingKind = CouplingKind.ALL_PAIRS_DIPOLAR) -> Iterator[np.ndarray]:
-    """Yield psi(tau) = e^{-iH tau} |initial_label> for each tau, in order.
+    """Yield psi(tau) = e^{-iH tau} |initial_label> for each tau, in order, in the full 2^N basis.
 
     H (all-pairs dipolar unless a profile is given) is eigendecomposed once,
     on the initial state's excitation sector; taus are evolved in batches.
     """
-    for _, psis in _evolve_batches(n_sites, initial_label, taus, profile):
+    for _, amps, sector in _evolve_batches(n_sites, initial_label, taus, profile):
+        psis = np.zeros((len(amps), 1 << n_sites), dtype=np.complex128)
+        psis[:, sector] = amps
         yield from psis
 
 
@@ -134,40 +136,46 @@ def _is_one_site(p: Bipartition) -> bool:
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the requested witnesses on the tau grid, in grid order.
 
-    psi(tau) is pure, so each batch fills a table of Schmidt-kernel
-    negativities, one row per tau and one column per split that a quantity
-    reads.  Only the subsystem MEBDs of e1_fixed need mixed states: rho_A =
-    M M^dagger and rho_B = M^T M^* from the fixed split's Schmidt matrix M.
+    psi(tau) is pure and stays on its excitation sector, so each batch fills
+    a table of Schmidt-kernel negativities, one row per tau and one column
+    per split that a quantity reads, in one pure_negativities call.  Only the
+    subsystem MEBDs of e1_fixed need mixed states: rho_A = M M^dagger and
+    rho_B = M^T M^* from the fixed split's Schmidt matrices M, whose rows and
+    columns are the configurations of A and B, solved as (T, d, d) stacks.
     """
     q = cfg.quantities
-    fixed = cfg.fixed_bipartition or default_fixed_bipartition(cfg.n_sites)
+    n, k = cfg.n_sites, cfg.initial_label.count("1")
+    fixed = cfg.fixed_bipartition or default_fixed_bipartition(n)
     fixed_mask = fixed.part_a.mask if fixed.part_a.mask & 1 else fixed.part_b.mask
-    splits = [p for p in entanglement.enumerate_bipartitions(cfg.n_sites)
+    splits = [p for p in entanglement.enumerate_bipartitions(n)
               if MEBD in q or PER_PARTITION in q or (E_TILDE in q and _is_one_site(p))
               or (E1_FIXED in q and p.part_a.mask == fixed_mask)]
     one_site = [j for j, p in enumerate(splits) if _is_one_site(p)]
     fixed_col = next((j for j, p in enumerate(splits) if p.part_a.mask == fixed_mask), None)
+    # The row (column) of each sector amplitude in the fixed split's Schmidt
+    # matrix: its configuration of A (of B), first site most significant.
+    basis = np.array(excitation_sector(n, k))
+    codes = [sum((basis >> site_index_bit(s, n) & 1) << i for i, s in enumerate(p.sites()[::-1]))
+             for p in (fixed.part_a, fixed.part_b)]
 
     records = []
-    batches = _evolve_batches(cfg.n_sites, cfg.initial_label, cfg.grid(), cfg.profile)
-    for taus, psis in batches:
-        table = np.empty((len(psis), len(splits)))
-        for j, p in enumerate(splits):
-            table[:, j] = entanglement.pure_double_negativity(psis, p)
-        subsystems = []
+    for taus, amps, _ in _evolve_batches(n, cfg.initial_label, cfg.grid(), cfg.profile):
+        table = entanglement.pure_negativities(amps, n, k, [p.part_a.mask for p in splits])
         if E1_FIXED in q:
-            m = entanglement.schmidt_matrices(psis, fixed)
-            if fixed.part_a.size() >= 2:
-                subsystems.append(m @ m.conj().swapaxes(1, 2))
-            if fixed.part_b.size() >= 2:
-                subsystems.append(m.swapaxes(1, 2) @ m.conj())
+            m = np.zeros((len(amps), 1 << fixed.part_a.size(), 1 << fixed.part_b.size()),
+                         dtype=np.complex128)
+            m[:, codes[0], codes[1]] = amps
+            rho_a, rho_b = m @ m.conj().swapaxes(1, 2), m.swapaxes(1, 2) @ m.conj()
+            e1 = np.min([table[:, fixed_col]] + [
+                entanglement._negativities(rho, range(1, (1 << p.size()) - 1, 2)).min(axis=1)
+                for rho, p in ((rho_a, fixed.part_a), (rho_b, fixed.part_b)) if p.size() >= 2],
+                axis=0)
         for t, (tau, row) in enumerate(zip(taus, table)):
             values: dict[str, float] = {}
             if MEBD in q:
                 values[MEBD] = float(row.min())
             if E1_FIXED in q:
-                values[E1_FIXED] = min([float(row[fixed_col])] + [
-                    entanglement.mebd(rho[t]).value for rho in subsystems])
+                values[E1_FIXED] = float(e1[t])
             if E_TILDE in q:
                 values[E_TILDE] = float(row[one_site].min())
             if PER_PARTITION in q:

@@ -6,9 +6,10 @@ of the negative eigenvalues of rho^{T_A}.  MEBD is the minimum of N over all
 level-k estimators bracket it from above and below.
 
 There is one kernel per kind of state: pure states use their Schmidt values
-(pure_double_negativity, batched over a stack of states), mixed reduced states
-use the partial transpose (_negativities, blocked or dense as decided once
-per state, on site masks).  Each public function that takes a density
+(pure_negativities from sector amplitudes, pure_double_negativity from the
+full basis, one batched svd per block shape), mixed reduced states use the
+partial transpose (_negativities, blocked or dense as decided once per state
+or stack, on site masks).  Each public function that takes a density
 matrix checks it on entry (linalg.check_hermitian raises ValueError for a
 non-Hermitian matrix or NaN/Inf entries); the kernels behind them do not.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +29,15 @@ from .hilbert import (
     MAX_SITES,
     Bipartition,
     SiteSet,
+    excitation_sector,
     n_sites_of,
     partial_trace,
     partial_transpose,
     site_index_bit,
 )
+
+
+_GATHER_ELEMENTS = 1 << 21  # amplitudes pure_negativities gathers at once: bounds its memory
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,7 @@ class MebdResult:
     per_partition: dict[Bipartition, float]
 
 
+@functools.lru_cache(maxsize=None)
 def enumerate_bipartitions(n_sites: int) -> tuple[Bipartition, ...]:
     """All canonical bipartitions: site 1 in part_a, A<->B duplicates removed.
 
@@ -76,26 +82,31 @@ def _pt_blocks(n_sites: int, mask: int) -> tuple[np.ndarray, ...]:
     return tuple(b.reshape(-1, size[b[0]]) for b in np.split(order, cuts))
 
 
-def _negativities(rho: np.ndarray, masks: Iterable[int]) -> list[float]:
-    """double_negativity of an already validated rho for each split A|B, A given by its mask.
+def _negativities(rho: np.ndarray, masks: Sequence[int]) -> np.ndarray:
+    """double_negativity of validated rho, or a (..., d, d) stack, per split mask: (..., masks).
 
-    Decided once per state: if rho is exactly zero (no tolerance) between basis
-    states of different excitation number, each rho^{T_A} is solved with one
-    batched eigvalsh per block size; any other rho takes the dense eigensolve.
+    Decided once per stack: if every rho is exactly zero (no tolerance) between
+    basis states of different excitation number, each rho^{T_A} is solved with
+    one batched eigvalsh per block size, over up to 2^16 / d^2 states at a time;
+    any other stack takes dense eigensolves.
     """
     n = n_sites_of(rho)
-    # rho[b[..., None], b[:, None]] gathers the (count, m, m) stack of blocks of b.
-    blocked = np.count_nonzero(rho) == sum(np.count_nonzero(rho[b[..., None], b[:, None]])
-                                           for b in _pt_blocks(n, (1 << n) - 1))
-    values = []
-    for mask in masks:
-        pt = partial_transpose(rho, SiteSet(n, mask))
-        if not blocked:
-            values.append(linalg.negative_sum(pt))
-            continue
-        w = [np.linalg.eigvalsh(pt[b[..., None], b[:, None]]) for b in _pt_blocks(n, mask)]
-        values.append(linalg.negative_sum_of_eigenvalues(np.concatenate(w, axis=None)))
-    return values
+    stack = rho.reshape(-1, 1 << n, 1 << n)
+    # stack[:, b[..., None], b[:, None]] gathers the (T, count, m, m) blocks of b.
+    blocked = np.count_nonzero(stack) == sum(np.count_nonzero(stack[:, b[..., None], b[:, None]])
+                                             for b in _pt_blocks(n, (1 << n) - 1))
+    if not blocked:
+        dense = [[linalg.negative_sum(m) for m in partial_transpose(stack, SiteSet(n, mask))]
+                 for mask in masks]
+        return np.array(dense).T.reshape(rho.shape[:-2] + (-1,))
+    spectra = np.empty((len(stack), len(masks), 1 << n))  # the blocks cover every index
+    step = max(1, (1 << 16) >> 2 * n)  # states per pass: a pass's 1 MB stays in cache
+    for lo in range(0, len(stack), step):
+        for i, mask in enumerate(masks):
+            pt = partial_transpose(stack[lo:lo + step], SiteSet(n, mask))
+            w = [np.linalg.eigvalsh(pt[:, b[..., None], b[:, None]]) for b in _pt_blocks(n, mask)]
+            spectra[lo:lo + step, i] = np.concatenate([x.reshape(len(pt), -1) for x in w], axis=1)
+    return linalg.negative_sum_of_eigenvalues(spectra).reshape(rho.shape[:-2] + (-1,))
 
 
 def double_negativity(rho: np.ndarray, p: Bipartition) -> float:
@@ -106,31 +117,93 @@ def double_negativity(rho: np.ndarray, p: Bipartition) -> float:
     rho = linalg.check_hermitian(rho)
     if p.n_sites != n_sites_of(rho):
         raise ValueError(f"rho dimension {rho.shape[0]} != 2^{p.n_sites}")
-    return _negativities(rho, [p.part_a.mask])[0]
+    return float(_negativities(rho, [p.part_a.mask])[0])
 
 
-def schmidt_matrices(psis: np.ndarray, p: Bipartition) -> np.ndarray:
-    """Each state of a (T, 2^N) stack reshaped to a 2^|A| x 2^|B| matrix M, site order kept.
+@functools.lru_cache(maxsize=16)
+def _schmidt_plan(n_sites: int, k: int, masks: tuple[int, ...]):
+    """Gather plan of the Schmidt blocks of each split, A given by its mask: (width, groups).
 
-    For |psi> = sum M_ab |a>|b>, the reduced states are rho_A = M M^dagger and
-    rho_B = M^T M^*.
+    On the k-excitation sector the Schmidt matrix of A|B is block diagonal in j,
+    the excitations in A, with C(|A|,j) x C(|B|,k-j) blocks (Singh, Pfeifer and
+    Vidal, PRA 83, 115125, 2011).  groups holds one (index, slots) per block
+    shape r >= c: index (count, r, c) gathers the blocks from the sector
+    amplitudes, slots (count, c) place their singular values in a (len(masks),
+    width) table.
     """
-    t = psis.reshape((len(psis),) + (2,) * p.n_sites)
-    axes = [0] + list(p.part_a.sites()) + list(p.part_b.sites())
-    return t.transpose(axes).reshape(len(psis), 1 << p.part_a.size(), -1)
+    pos = np.zeros(1 << n_sites, dtype=np.int16)  # basis index -> place in the sector
+    pos[excitation_sector(n_sites, k)] = np.arange(math.comb(n_sites, k))
+    in_a = (np.array(masks)[:, None] >> np.arange(n_sites) & 1).astype(bool)  # column s-1: site s
+    bit = np.broadcast_to(1 << (n_sites - 1 - np.arange(n_sites)), in_a.shape)  # its basis bit
+    sizes, width, groups = in_a.sum(axis=1), 0, {}
+    for a in set(sizes.tolist()):
+        at = np.flatnonzero(sizes == a)
+        # Each configuration of A (of B), first site most significant, as basis bits per split.
+        codes = [np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1) & 1
+                 for m in (a, n_sites - a)]
+        deposit = [bit[at][part].reshape(len(at), -1) @ c.T
+                   for part, c in zip((in_a[at], ~in_a[at]), codes)]
+        ones = [c.sum(axis=1) for c in codes]
+        offset = 0
+        for j in range(max(0, k - n_sites + a), min(a, k) + 1):
+            index = pos[deposit[0][:, ones[0] == j, None] | deposit[1][:, None, ones[1] == k - j]]
+            if index.shape[1] < index.shape[2]:  # LAPACK takes tall blocks faster
+                index = index.transpose(0, 2, 1)
+            groups.setdefault(index.shape[1:], []).append((index, at, offset))
+            offset += index.shape[2]
+        width = max(width, offset)
+    plan = ((np.concatenate([i for i, _, _ in g]),
+             np.concatenate([r[:, None] * width + o + np.arange(i.shape[2]) for i, r, o in g]))
+            for g in groups.values())
+    return width, tuple(plan)
+
+
+def _schmidt_negativities(amps: np.ndarray, width: int, groups, splits: int) -> np.ndarray:
+    """The (T, splits) negativities of the Schmidt blocks that a gather plan takes from amps."""
+    s = np.zeros((len(amps), splits * width))
+    for index, slots in groups:
+        m = amps[:, index]
+        s[:, slots] = (np.linalg.norm(m, axis=-2) if index.shape[2] == 1
+                       else np.linalg.svd(m, compute_uv=False))
+    s = s.reshape(len(amps), splits, width)
+    out = np.empty(s.shape[:2])
+    step = max(1, (1 << 15) // max(1, len(amps) * width * width))  # splits per product: 256 KB
+    for lo in range(0, splits, step):
+        prod = s[:, lo:lo + step, :, None] * s[:, lo:lo + step, None, :]
+        keep = np.triu(prod > linalg.ZERO_EIGENVALUE_TOL, 1)  # the pairs i < j
+        out[:, lo:lo + step] = 2.0 * np.add.reduce(prod, axis=(2, 3), where=keep)
+    return out
+
+
+def pure_negativities(amps: np.ndarray, n_sites: int, k: int, masks: Iterable[int]) -> np.ndarray:
+    """double_negativity of each pure state of a (T, C(N,k)) sector stack per split mask.
+
+    |psi><psi|^{T_A} has the negative eigenvalues -s_i s_j (i < j) of the
+    Schmidt values s_i (Vidal and Werner, PRA 65, 032314, 2002); products below
+    ZERO_EIGENVALUE_TOL are dropped, as in negative_sum, so product states give
+    0.0.  One batched svd per block shape of _schmidt_plan (a norm for r x 1
+    blocks) serves all splits; the result is (T, len(masks)).
+    """
+    masks = tuple(masks)
+    step = max(1, _GATHER_ELEMENTS // (len(masks) * amps.shape[1]))
+    if len(amps) > step:
+        return np.concatenate([pure_negativities(amps[lo:lo + step], n_sites, k, masks)
+                               for lo in range(0, len(amps), step)])
+    return _schmidt_negativities(amps, *_schmidt_plan(n_sites, k, masks), len(masks))
 
 
 def pure_double_negativity(psis: np.ndarray, p: Bipartition) -> np.ndarray:
-    """double_negativity of each pure state in a (T, 2^N) stack, from its Schmidt values.
+    """double_negativity of each pure state in a (T, 2^N) stack for the split p.
 
-    The negative eigenvalues of |psi><psi|^{T_A} are -s_i s_j (i < j) for the
-    Schmidt values s_i, so N = 2 sum_{i<j} s_i s_j = (sum_i s_i)^2 - 1 (Vidal
-    and Werner, PRA 65, 032314, 2002).  Products below ZERO_EIGENVALUE_TOL are
-    dropped, as negative_sum drops such eigenvalues: product states give 0.0.
+    The full basis gives one block, the whole Schmidt matrix: a site-order
+    reshape of the basis indices, gathered as the sector blocks are.
     """
-    s = np.linalg.svd(schmidt_matrices(psis, p), compute_uv=False)
-    prod = np.triu(s[:, :, None] * s[:, None, :], 1)
-    return 2.0 * np.where(prod > linalg.ZERO_EIGENVALUE_TOL, prod, 0.0).sum(axis=(1, 2))
+    order = [s - 1 for s in p.part_a.sites() + p.part_b.sites()]
+    m = np.arange(1 << p.n_sites).reshape((2,) * p.n_sites).transpose(order).reshape(
+        1 << p.part_a.size(), -1)
+    m = m if len(m) >= m.shape[1] else m.T  # tall, as in _schmidt_plan
+    slots = np.arange(m.shape[1])[None]
+    return _schmidt_negativities(psis, m.shape[1], [(m[None], slots)], 1)[:, 0]
 
 
 def pairwise_negativity(rho: np.ndarray, parts: list[SiteSet], i: int, j: int) -> float:
@@ -154,14 +227,14 @@ def pairwise_negativity(rho: np.ndarray, parts: list[SiteSet], i: int, j: int) -
     keep = SiteSet(n, parts[i].mask | parts[j].mask)
     # Bit k of the reduced register is the k-th kept site (kept sites stay ordered).
     local_a = sum(1 << k for k, s in enumerate(keep.sites()) if parts[i].mask >> (s - 1) & 1)
-    return _negativities(partial_trace(rho, keep), [local_a])[0]
+    return float(_negativities(partial_trace(rho, keep), [local_a])[0])
 
 
 def mebd(rho: np.ndarray) -> MebdResult:
     """Minimum double negativity over every bipartition of the register."""
     rho = linalg.check_hermitian(rho)
     parts = enumerate_bipartitions(n_sites_of(rho))
-    values = _negativities(rho, [p.part_a.mask for p in parts])
+    values = _negativities(rho, [p.part_a.mask for p in parts]).tolist()
     best = min(range(len(values)), key=values.__getitem__)
     return MebdResult(values[best], parts[best], dict(zip(parts, values)))
 
@@ -172,7 +245,7 @@ def single_node_witness(rho: np.ndarray) -> float:
     n = n_sites_of(rho)
     if n < 2:
         raise ValueError("need at least 2 sites")
-    return min(_negativities(rho, [1 << s for s in range(n)]))
+    return float(_negativities(rho, [1 << s for s in range(n)]).min())
 
 
 def lower_estimate_1(rho: np.ndarray, j: Bipartition) -> float:
@@ -184,11 +257,11 @@ def lower_estimate_1(rho: np.ndarray, j: Bipartition) -> float:
     rho = linalg.check_hermitian(rho)
     if j.n_sites != n_sites_of(rho):
         raise ValueError(f"rho dimension {rho.shape[0]} != 2^{j.n_sites}")
-    terms = _negativities(rho, [j.part_a.mask])
+    terms = _negativities(rho, [j.part_a.mask]).tolist()
     for part in (j.part_a, j.part_b):
         if part.size() >= 2:
             sub = partial_trace(rho, part)  # its canonical splits: site 1 in A, B nonempty
-            terms.append(min(_negativities(sub, range(1, (1 << part.size()) - 1, 2))))
+            terms.append(float(_negativities(sub, range(1, (1 << part.size()) - 1, 2)).min()))
     return min(terms)
 
 
@@ -211,7 +284,7 @@ def _split_table(rho: np.ndarray) -> dict[int, dict[int, float]]:
         if len(bits) < 2:
             continue
         local = range(1, (1 << len(bits)) - 1, 2)
-        values = _negativities(partial_trace(rho, SiteSet(n, keep)), local)
+        values = _negativities(partial_trace(rho, SiteSet(n, keep)), local).tolist()
         table[keep] = {sum(1 << b for k, b in enumerate(bits) if a >> k & 1): v
                        for a, v in zip(local, values)}
     return table

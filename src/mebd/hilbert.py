@@ -103,7 +103,7 @@ def site_index_bit(site: int, n_sites: int) -> int:
 
 
 def n_sites_of(rho: np.ndarray) -> int:
-    dim = rho.shape[0]
+    dim = rho.shape[-1]
     n = dim.bit_length() - 1
     if 1 << n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
@@ -130,16 +130,16 @@ def partial_trace(rho: np.ndarray, keep: SiteSet) -> np.ndarray:
 
 
 def partial_transpose(rho: np.ndarray, subset: SiteSet) -> np.ndarray:
-    """Transpose the indices belonging to subset only."""
+    """Transpose the indices belonging to subset only, of rho or of each rho of a stack."""
     if subset.mask == 0:
         raise ValueError("subset must be nonempty")
     n = subset.n_sites
-    if rho.shape[0] != (1 << n):
-        raise ValueError(f"rho dimension {rho.shape[0]} != 2^{n}")
-    t = rho.reshape((2,) * (2 * n))
+    if rho.shape[-1] != (1 << n):
+        raise ValueError(f"rho dimension {rho.shape[-1]} != 2^{n}")
+    lead = rho.ndim - 2
+    t = rho.reshape(rho.shape[:-2] + (2,) * (2 * n))
     for s in subset.sites():
-        ax = s - 1
-        t = np.swapaxes(t, ax, n + ax)
+        t = np.swapaxes(t, lead + s - 1, lead + n + s - 1)
     return np.ascontiguousarray(t.reshape(rho.shape))
 
 

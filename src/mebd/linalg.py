@@ -39,11 +39,10 @@ def negative_sum(m: np.ndarray) -> float:
     that separable states do not register spurious entanglement.
     """
     a = check_hermitian(m)
-    w = np.linalg.eigvalsh(a)
-    return negative_sum_of_eigenvalues(w)
+    return float(negative_sum_of_eigenvalues(np.linalg.eigvalsh(a)))
 
 
-def negative_sum_of_eigenvalues(w: np.ndarray) -> float:
-    """Same contract as negative_sum, applied to a precomputed real spectrum."""
-    neg = w[w < -ZERO_EIGENVALUE_TOL]
-    return float(2.0 * -neg.sum()) if neg.size else 0.0
+def negative_sum_of_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """Same contract as negative_sum, applied to precomputed real spectra along the last axis."""
+    # 0.0 - keeps a sum with no negative eigenvalue at +0.0, not -0.0.
+    return 0.0 - 2.0 * np.add.reduce(w, axis=-1, where=w < -ZERO_EIGENVALUE_TOL)

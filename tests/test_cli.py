@@ -38,6 +38,17 @@ class TestParsePartition:
             parse_partition("1,x|2", 2)
         with pytest.raises(ValueError):
             parse_partition("1,1|2,3", 3)
+        # An empty token between, before or after commas is no site.
+        for spec in ("1,,2|3,4", "1,2,|3,4", ",1,2|3,4", "1,2|3,,4", "1,2|3,4,"):
+            with pytest.raises(ValueError, match="partition sites must be integers"):
+                parse_partition(spec, 4)
+
+    def test_empty_half(self):
+        # A wholly empty half is an empty part, not a malformed token.
+        with pytest.raises(ValueError, match="empty part"):
+            parse_partition("|1,2,3,4", 4)
+        with pytest.raises(ValueError, match="do not cover"):
+            parse_partition("|3,4", 4)
 
 
 class TestSweepCommand:
@@ -264,6 +275,14 @@ class TestNegativityCommand:
                                    "--tau", "0", "--partition", spec)
             assert code == 2
             assert err
+        # An empty site token, through --partition and --e1-partition.
+        for spec in ("1,,2|3,4", "1,2,|3,4", ",1,2|3,4"):
+            for argv in (("negativity", "--tau", "0", "--partition", spec),
+                         ("sweep", "--tau-max", "0.01", "--e1-partition", spec)):
+                code, out, err = run_cli(capsys, *argv, "--n", "4", "--init", "1001")
+                assert code == 2
+                assert "partition sites must be integers" in err
+                assert not out
 
     @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
     def test_non_finite_tau(self, capsys, tau):

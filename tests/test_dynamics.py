@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mebd import entanglement, hilbert
+from mebd import dynamics, entanglement, hilbert
 from mebd.dynamics import (
     EVOLVE_BATCH,
     MEBD,
@@ -22,7 +22,7 @@ from mebd.dynamics import (
     sanity_tau_bound,
 )
 from mebd.entanglement import lower_estimate_1, mebd, single_node_witness
-from mebd.hilbert import excitation_sector
+from mebd.hilbert import Bipartition, SiteSet, excitation_sector
 from mebd.model import CouplingKind
 
 from conftest import full_hdz, pure_density
@@ -112,6 +112,48 @@ class TestEvolve:
 
 
 class TestRunSweep:
+    def test_memory_stays_in_sector(self):
+        # An N=12 mebd sweep, plan build included: the Schmidt blocks of all
+        # 2047 splits are gathered from the 924 sector amplitudes with int16
+        # indices, one block shape at a time; psi is never padded to 2^12.
+        entanglement._schmidt_plan.cache_clear()
+        cfg = SweepConfig(12, "101010101010", tau_start=0.5, tau_end=1.1, tau_step=0.6,
+                          quantities=(MEBD,))
+        tracemalloc.start()
+        try:
+            assert len(run_sweep(cfg)) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_one_svd_per_block_shape(self, monkeypatch):
+        # One batch of an N=8, k=4 sweep: the 127 splits' Schmidt blocks
+        # C(|A|,j) x C(8-|A|,4-j) come in four shapes with two or more singular
+        # values, (20,2), (10,3), (4,4) and (6,6); each is one svd call (r x 1
+        # blocks take a norm).  e1_fixed's eigvalsh calls do not grow with the
+        # number of tau points in the batch.
+        calls = {"svd": 0, "eigvalsh": 0}
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        shapes = {tuple(sorted((math.comb(a, j), math.comb(8 - a, 4 - j))))
+                  for a in range(1, 8) for j in range(max(0, a - 4), min(a, 4) + 1)}
+        assert sum(min(shape) >= 2 for shape in shapes) == 4
+        counts = []
+        for points in (2, EVOLVE_BATCH):
+            calls.update(svd=0, eigvalsh=0)
+            cfg = SweepConfig(8, "10011001", tau_end=0.01 * (points - 1), tau_step=0.01,
+                              quantities=(MEBD, E1_FIXED, E_TILDE))
+            assert len(run_sweep(cfg)) == points
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["svd"] == 4
+        assert counts[0]["eigvalsh"] > 0
+
     def test_product_state_at_tau_zero(self):
         cfg = SweepConfig(3, "010", tau_end=0.01, tau_step=0.01)
         recs = run_sweep(cfg)
@@ -145,9 +187,9 @@ class TestRunSweep:
         seen = []
 
         def guarded(rho, subset):
-            if rho.shape[0] == 1 << n:
+            if rho.shape[-1] == 1 << n:
                 raise AssertionError("partial transpose of the full 2^N state")
-            seen.append(rho.shape[0])
+            seen.append(rho.shape[-1])
             return transpose(rho, subset)
 
         monkeypatch.setattr(hilbert, "partial_transpose", guarded)
@@ -179,6 +221,27 @@ class TestRunSweep:
             assert abs(got[MEBD] - mebd(rho).value) < 1e-12
             assert abs(got[E1_FIXED] - lower_estimate_1(rho, fixed)) < 1e-12
             assert abs(got[E_TILDE] - single_node_witness(rho)) < 1e-12
+
+    @pytest.mark.parametrize("sites_a, batch", [((1, 2), EVOLVE_BATCH), ((1,), 16)])
+    def test_e1_fixed_batches_match_lower_estimate_1(self, monkeypatch, sites_a, batch):
+        # A fixed split of unequal parts, and one with a single-site part (one
+        # subsystem MEBD only), on a grid of a little more than two batches:
+        # rho_A and rho_B go through the mixed kernel as (T, d, d) stacks.  The
+        # 7-site part costs ~35 ms per tau point, so that case takes batches of
+        # 16 points: the same batch boundaries on an eighth of the grid.
+        monkeypatch.setattr(dynamics, "EVOLVE_BATCH", batch)
+        n, label = 8, "10011001"
+        fixed = Bipartition.from_masks(n, SiteSet.from_sites(n, sites_a).mask)
+        step = 0.01
+        cfg = SweepConfig(n, label, tau_end=(2 * batch + 2) * step, tau_step=step,
+                          quantities=(E1_FIXED,), fixed_bipartition=fixed)
+        taus = cfg.grid()
+        assert len(taus) > 2 * batch
+        records = run_sweep(cfg)
+        for i in (0, 1, batch - 1, batch, 2 * batch, len(taus) - 1):
+            (psi,) = evolve(n, label, [taus[i]])
+            expected = lower_estimate_1(np.outer(psi, psi.conj()), fixed)
+            assert abs(records[i].values[E1_FIXED] - expected) < 1e-12
 
     def test_estimator_ordering_pointwise(self):
         cfg = SweepConfig(4, "1001", tau_end=3.0, tau_step=0.1,

@@ -16,11 +16,13 @@ from mebd.entanglement import (
     mebd,
     pairwise_negativity,
     pure_double_negativity,
+    pure_negativities,
     single_node_witness,
 )
 from mebd.hilbert import (
     Bipartition,
     SiteSet,
+    excitation_sector,
     n_sites_of,
     partial_trace,
     partial_transpose,
@@ -104,6 +106,22 @@ class TestDoubleNegativity:
         for p in enumerate_bipartitions(4):
             dense = dense_negativity(rho, p)
             assert abs(double_negativity(rho, p) - dense) < 1e-9
+
+    def test_stack_matches_per_state(self, rng):
+        # A (T, d, d) stack gives each state's values, blocked or dense as decided
+        # once for the whole stack: one state without the sector zeros sends all
+        # of them to the dense path.
+        masks = [p.part_a.mask for p in enumerate_bipartitions(4)]
+        sector = [pure_density(random_sector_state(rng, 4, k)) for k in (1, 2, 2)]
+        generic = pure_density(random_pure_state(rng, 16))
+        for rhos in (np.array(sector), np.array(sector + [generic])):
+            expected = [[dense_negativity(rho, p) for p in enumerate_bipartitions(4)]
+                        for rho in rhos]
+            got = entanglement._negativities(rhos, masks)
+            assert got.shape == (len(rhos), len(masks))
+            assert np.max(np.abs(got - expected)) < 1e-12
+        got = entanglement._negativities(np.array(sector), masks)
+        assert np.array_equal(got, [entanglement._negativities(rho, masks) for rho in sector])
 
     def test_split_on_other_register_rejected(self):
         # A 2-site split of a 3-site state must not be read as a split of sites 1..2.
@@ -394,6 +412,41 @@ def test_fast_path_matches_dense_oracle(case):
         dense = dense_negativity(pure_density(state), p)
         assert abs(got - dense) < 1e-9
     assert values[2] == 0.0
+
+
+def product_across(rng, p, k):
+    """A k-excitation state that is a product across the split p, each part on its own sector."""
+    a, b = p.part_a.size(), p.part_b.size()
+    j = int(rng.integers(max(0, k - b), min(a, k) + 1))
+    t = np.kron(random_sector_state(rng, a, j), random_sector_state(rng, b, k - j))
+    # Axis i of t is site (A's sites, then B's)[i]; put the axes back in site order.
+    order = p.part_a.sites() + p.part_b.sites()
+    return t.reshape((2,) * p.n_sites).transpose(np.argsort(order)).reshape(-1)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 8) for k in range(n + 1)])
+def test_sector_blocks_match_dense_oracle(n, k):
+    # The sector-block table of every split, from the sector amplitudes alone,
+    # against the dense partial-transpose oracle: a random sector state on
+    # every split; a state that is a product across one split (each part on its
+    # own sector), which gives exactly 0.0 there, on that split and three
+    # others; a basis state, 0.0 on every split.  k = 0 and k = N give one
+    # 1 x 1 block per split.
+    rng = np.random.default_rng([n, k])
+    parts = enumerate_bipartitions(n)
+    cut = int(rng.integers(len(parts)))
+    basis = np.zeros(1 << n, dtype=np.complex128)
+    basis[int(rng.choice(excitation_sector(n, k)))] = 1.0
+    psis = np.array([random_sector_state(rng, n, k), product_across(rng, parts[cut], k), basis])
+    table = pure_negativities(psis[:, excitation_sector(n, k)], n, k,
+                              [p.part_a.mask for p in parts])
+    assert table.shape == (3, len(parts))
+    for state, columns in ((0, range(len(parts))), (1, {cut, *rng.integers(len(parts), size=3)})):
+        rho = pure_density(psis[state])
+        for j in columns:
+            assert abs(table[state, j] - dense_negativity(rho, parts[j])) < 1e-9
+    assert table[1, cut] == 0.0
+    assert np.all(table[2] == 0.0)
 
 
 def _sub_bipartitions(sites):

@@ -146,6 +146,18 @@ class TestPartialTranspose:
             out = partial_transpose(rho, SiteSet.from_sites(4, sites))
             assert np.array_equal(out, _reshape_oracle_pt(rho, 4, sites))
 
+    def test_stack_matches_per_state(self, rng):
+        # A leading stack axis (one or two of them) transposes each state as alone.
+        rhos = np.array([random_density(rng, 16) for _ in range(6)])
+        for sites in ([1], [2, 4], [1, 2, 3, 4]):
+            s = SiteSet.from_sites(4, sites)
+            expected = np.array([partial_transpose(rho, s) for rho in rhos])
+            assert np.array_equal(partial_transpose(rhos, s), expected)
+            assert np.array_equal(partial_transpose(rhos.reshape(2, 3, 16, 16), s),
+                                  expected.reshape(2, 3, 16, 16))
+        with pytest.raises(ValueError, match=r"rho dimension 16 != 2\^3"):
+            partial_transpose(rhos, SiteSet.from_sites(3, [1]))
+
     def test_complement_spectra_match(self, rng):
         rho = random_density(rng, 8)
         s = SiteSet.from_sites(3, [1, 3])
