@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import entanglement
-from .hilbert import (MAX_SITES, Bipartition, SiteSet, basis_index, excitation_sector,
-                      site_index_bit)
+from .hilbert import MAX_SITES, Bipartition, SiteSet, basis_index, excitation_sector
 from .model import CouplingKind, build_hdz
 
 MAX_GRID_POINTS = 100_000
@@ -140,8 +139,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     a table of Schmidt-kernel negativities, one row per tau and one column
     per split that a quantity reads, in one pure_negativities call.  Only the
     subsystem MEBDs of e1_fixed need mixed states: rho_A = M M^dagger and
-    rho_B = M^T M^* from the fixed split's Schmidt matrices M, whose rows and
-    columns are the configurations of A and B, solved as (T, d, d) stacks.
+    rho_B = M^T M^* from the fixed split's Schmidt matrices M, solved as
+    (T, d, d) stacks of up to 2^16 / d^2 states, d the larger part's dimension.
     """
     q = cfg.quantities
     n, k = cfg.n_sites, cfg.initial_label.count("1")
@@ -152,24 +151,24 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
               or (E1_FIXED in q and p.part_a.mask == fixed_mask)]
     one_site = [j for j, p in enumerate(splits) if _is_one_site(p)]
     fixed_col = next((j for j, p in enumerate(splits) if p.part_a.mask == fixed_mask), None)
-    # The row (column) of each sector amplitude in the fixed split's Schmidt
-    # matrix: its configuration of A (of B), first site most significant.
-    basis = np.array(excitation_sector(n, k))
-    codes = [sum((basis >> site_index_bit(s, n) & 1) << i for i, s in enumerate(p.sites()[::-1]))
-             for p in (fixed.part_a, fixed.part_b)]
+    # The flat place of each basis index in the fixed split's Schmidt matrix M.
+    place = np.argsort(entanglement._schmidt_index(n, fixed.part_a.mask), axis=None)
+    step = max(1, (1 << 16) >> 2 * max(fixed.part_a.size(), fixed.part_b.size()))
 
     records = []
-    for taus, amps, _ in _evolve_batches(n, cfg.initial_label, cfg.grid(), cfg.profile):
+    for taus, amps, sector in _evolve_batches(n, cfg.initial_label, cfg.grid(), cfg.profile):
         table = entanglement.pure_negativities(amps, n, k, [p.part_a.mask for p in splits])
         if E1_FIXED in q:
-            m = np.zeros((len(amps), 1 << fixed.part_a.size(), 1 << fixed.part_b.size()),
-                         dtype=np.complex128)
-            m[:, codes[0], codes[1]] = amps
-            rho_a, rho_b = m @ m.conj().swapaxes(1, 2), m.swapaxes(1, 2) @ m.conj()
-            e1 = np.min([table[:, fixed_col]] + [
-                entanglement._negativities(rho, range(1, (1 << p.size()) - 1, 2)).min(axis=1)
-                for rho, p in ((rho_a, fixed.part_a), (rho_b, fixed.part_b)) if p.size() >= 2],
-                axis=0)
+            m = np.zeros((len(amps), 1 << n), dtype=np.complex128)
+            m[:, place[sector]] = amps
+            e1 = table[:, fixed_col].copy()
+            for lo in range(0, len(amps), step):
+                c = m[lo:lo + step].reshape(-1, 1 << fixed.part_a.size(), 1 << fixed.part_b.size())
+                for mp, p in ((c, fixed.part_a), (c.swapaxes(1, 2), fixed.part_b)):
+                    if p.size() >= 2:
+                        sub = entanglement._negativities(mp @ mp.conj().swapaxes(1, 2),
+                                                         range(1, (1 << p.size()) - 1, 2))
+                        np.minimum(e1[lo:lo + step], sub.min(axis=1), out=e1[lo:lo + step])
         for t, (tau, row) in enumerate(zip(taus, table)):
             values: dict[str, float] = {}
             if MEBD in q:

@@ -9,9 +9,9 @@ There is one kernel per kind of state: pure states use their Schmidt values
 (pure_negativities from sector amplitudes, pure_double_negativity from the
 full basis, one batched svd per block shape), mixed reduced states use the
 partial transpose (_negativities, blocked or dense as decided once per state
-or stack, on site masks).  Each public function that takes a density
-matrix checks it on entry (linalg.check_hermitian raises ValueError for a
-non-Hermitian matrix or NaN/Inf entries); the kernels behind them do not.
+or stack, on site masks).  Each public function checks its input on entry
+and raises ValueError for bad shapes or NaN/Inf (linalg.check_hermitian for a
+density matrix, _check_amplitudes for pure states); the kernels behind do not.
 """
 
 from __future__ import annotations
@@ -131,6 +131,8 @@ def _schmidt_plan(n_sites: int, k: int, masks: tuple[int, ...]):
     amplitudes, slots (count, c) place their singular values in a (len(masks),
     width) table.
     """
+    if not masks or not all(0 < m < (1 << n_sites) - 1 for m in masks):
+        raise ValueError(f"masks must name one or more splits of {n_sites} sites, got {masks}")
     pos = np.zeros(1 << n_sites, dtype=np.int16)  # basis index -> place in the sector
     pos[excitation_sector(n_sites, k)] = np.arange(math.comb(n_sites, k))
     in_a = (np.array(masks)[:, None] >> np.arange(n_sites) & 1).astype(bool)  # column s-1: site s
@@ -175,6 +177,12 @@ def _schmidt_negativities(amps: np.ndarray, width: int, groups, splits: int) -> 
     return out
 
 
+def _check_amplitudes(amps: np.ndarray, size: int) -> None:
+    """Raise ValueError unless amps is a (T, size) array of finite amplitudes."""
+    if amps.ndim != 2 or amps.shape[1] != size or not np.all(np.isfinite(amps)):
+        raise ValueError(f"amplitudes must be a finite (T, {size}) stack, got shape {amps.shape}")
+
+
 def pure_negativities(amps: np.ndarray, n_sites: int, k: int, masks: Iterable[int]) -> np.ndarray:
     """double_negativity of each pure state of a (T, C(N,k)) sector stack per split mask.
 
@@ -185,22 +193,31 @@ def pure_negativities(amps: np.ndarray, n_sites: int, k: int, masks: Iterable[in
     blocks) serves all splits; the result is (T, len(masks)).
     """
     masks = tuple(masks)
+    plan = _schmidt_plan(n_sites, k, masks)
+    _check_amplitudes(amps, math.comb(n_sites, k))
     step = max(1, _GATHER_ELEMENTS // (len(masks) * amps.shape[1]))
     if len(amps) > step:
         return np.concatenate([pure_negativities(amps[lo:lo + step], n_sites, k, masks)
                                for lo in range(0, len(amps), step)])
-    return _schmidt_negativities(amps, *_schmidt_plan(n_sites, k, masks), len(masks))
+    return _schmidt_negativities(amps, *plan, len(masks))
+
+
+def _schmidt_index(n_sites: int, mask: int) -> np.ndarray:
+    """Basis index at each entry of the Schmidt matrix of the split A|B, A the sites of mask."""
+    a = SiteSet(n_sites, mask)
+    order = [s - 1 for s in a.sites() + a.complement().sites()]  # rows: A, first site first
+    return np.arange(1 << n_sites).reshape((2,) * n_sites).transpose(order).reshape(
+        1 << a.size(), -1)
 
 
 def pure_double_negativity(psis: np.ndarray, p: Bipartition) -> np.ndarray:
     """double_negativity of each pure state in a (T, 2^N) stack for the split p.
 
-    The full basis gives one block, the whole Schmidt matrix: a site-order
-    reshape of the basis indices, gathered as the sector blocks are.
+    The full basis gives one block, the whole Schmidt matrix (_schmidt_index),
+    gathered as the sector blocks are.
     """
-    order = [s - 1 for s in p.part_a.sites() + p.part_b.sites()]
-    m = np.arange(1 << p.n_sites).reshape((2,) * p.n_sites).transpose(order).reshape(
-        1 << p.part_a.size(), -1)
+    _check_amplitudes(psis, 1 << p.n_sites)
+    m = _schmidt_index(p.n_sites, p.part_a.mask)
     m = m if len(m) >= m.shape[1] else m.T  # tall, as in _schmidt_plan
     slots = np.arange(m.shape[1])[None]
     return _schmidt_negativities(psis, m.shape[1], [(m[None], slots)], 1)[:, 0]
@@ -246,23 +263,6 @@ def single_node_witness(rho: np.ndarray) -> float:
     if n < 2:
         raise ValueError("need at least 2 sites")
     return float(_negativities(rho, [1 << s for s in range(n)]).min())
-
-
-def lower_estimate_1(rho: np.ndarray, j: Bipartition) -> float:
-    """min(E(A), E(B), N_{A,B}) for the fixed split j.
-
-    Single-site parts have no internal decomposition; their MEBD term is
-    omitted from the min.
-    """
-    rho = linalg.check_hermitian(rho)
-    if j.n_sites != n_sites_of(rho):
-        raise ValueError(f"rho dimension {rho.shape[0]} != 2^{j.n_sites}")
-    terms = _negativities(rho, [j.part_a.mask]).tolist()
-    for part in (j.part_a, j.part_b):
-        if part.size() >= 2:
-            sub = partial_trace(rho, part)  # its canonical splits: site 1 in A, B nonempty
-            terms.append(float(_negativities(sub, range(1, (1 << part.size()) - 1, 2)).min()))
-    return min(terms)
 
 
 def max_level(n_sites: int) -> int:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mebd import linalg
-from mebd.hilbert import basis_index, partial_transpose, site_index_bit
+from mebd.hilbert import (Bipartition, basis_index, partial_trace, partial_transpose,
+                          site_index_bit)
 from mebd.model import CouplingKind
 
 
@@ -69,6 +70,22 @@ def pure_density(state, n_sites=None):
 def dense_negativity(rho, p):
     """Dense oracle of the double negativity: the full eigensolve of rho^{T_A}."""
     return linalg.negative_sum(partial_transpose(rho, p.part_a))
+
+
+def dense_lower_estimate_1(rho, j):
+    """Dense oracle of the fixed-split estimate E^1 = min(N_{A,B}, MEBD(A), MEBD(B)) for j = A|B.
+
+    Each MEBD is the minimum of dense_negativity over the canonical splits of
+    the part's partial trace; a one-site part has no split, so no term.
+    """
+    terms = [dense_negativity(rho, j)]
+    for part in (j.part_a, j.part_b):
+        m = part.size()
+        if m >= 2:
+            sub = partial_trace(rho, part)
+            terms += [dense_negativity(sub, Bipartition.from_masks(m, a))
+                      for a in range(1, (1 << m) - 1, 2)]
+    return min(terms)
 
 
 def bell_state():

@@ -457,6 +457,18 @@ def test_readme_flag_table_matches_commands():
                            for name, cmd in cli.COMMANDS.items()}
 
 
+def test_readme_names_resolve():
+    # Every backticked `module.name` in README names an attribute of that
+    # module, so the docs cannot keep pointing at deleted code; file paths
+    # such as `src/mebd/linalg.py` do not start with a module name.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = re.findall(r"`(cli|dynamics|entanglement|hilbert|linalg|model)\.(\w+)", readme)
+    assert names
+    missing = [f"{mod}.{name}" for mod, name in names
+               if not hasattr(importlib.import_module(f"mebd.{mod}"), name)]
+    assert not missing
+
+
 # An N=6 sweep with e1_fixed and an N=6 ladder both reach the mixed-state
 # kernel through reduced states; the negativity query takes the pure one.
 # Every number is printed with repr, so equal output means equal floats.

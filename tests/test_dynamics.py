@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mebd import dynamics, entanglement, hilbert
 from mebd.dynamics import (
@@ -21,11 +22,11 @@ from mebd.dynamics import (
     run_sweep,
     sanity_tau_bound,
 )
-from mebd.entanglement import lower_estimate_1, mebd, single_node_witness
+from mebd.entanglement import mebd, single_node_witness
 from mebd.hilbert import Bipartition, SiteSet, excitation_sector
 from mebd.model import CouplingKind
 
-from conftest import full_hdz, pure_density
+from conftest import dense_lower_estimate_1, full_hdz, pure_density
 
 
 class TestSweepConfig:
@@ -127,6 +128,21 @@ class TestRunSweep:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_e1_fixed_memory_bounded_by_chunks(self):
+        # A one-site fixed part leaves a 6-site part: its rho stack over a
+        # 128-point batch would be 128 x 64 x 64 complex (8 MB); it is formed
+        # in chunks of 2^16 / 64^2 = 16 states.
+        fixed = Bipartition.from_masks(7, SiteSet.from_sites(7, [1]).mask)
+        cfg = SweepConfig(7, "1001100", tau_end=0.01 * (EVOLVE_BATCH - 1), tau_step=0.01,
+                          quantities=(E1_FIXED,), fixed_bipartition=fixed)
+        tracemalloc.start()
+        try:
+            assert len(run_sweep(cfg)) == EVOLVE_BATCH
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_one_svd_per_block_shape(self, monkeypatch):
         # One batch of an N=8, k=4 sweep: the 127 splits' Schmidt blocks
         # C(|A|,j) x C(8-|A|,4-j) come in four shapes with two or more singular
@@ -155,10 +171,16 @@ class TestRunSweep:
         assert counts[0]["eigvalsh"] > 0
 
     def test_product_state_at_tau_zero(self):
-        cfg = SweepConfig(3, "010", tau_end=0.01, tau_step=0.01)
-        recs = run_sweep(cfg)
-        assert recs[0].tau == 0.0
-        assert recs[0].values[MEBD] < 1e-10
+        # At tau = 0 the basis state is a product across every split.  The
+        # default fixed split is 1|2.3 at N=3 (one subsystem MEBD) and 1.2|3.4
+        # at N=4 (two); the estimators drop round-off to exactly 0.0.
+        for label in ("010", "1001"):
+            cfg = SweepConfig(len(label), label, tau_end=0.01, tau_step=0.01)
+            recs = run_sweep(cfg)
+            assert recs[0].tau == 0.0
+            assert recs[0].values[MEBD] < 1e-10
+            assert recs[0].values[E1_FIXED] == 0.0
+            assert recs[0].values[E_TILDE] == 0.0
 
     def test_two_spin_closed_form(self):
         # |10> under the nearest-neighbour 2-site chain: the cross
@@ -219,14 +241,16 @@ class TestRunSweep:
             got = records[i].values
             assert records[i].tau == taus[i]
             assert abs(got[MEBD] - mebd(rho).value) < 1e-12
-            assert abs(got[E1_FIXED] - lower_estimate_1(rho, fixed)) < 1e-12
+            assert abs(got[E1_FIXED] - dense_lower_estimate_1(rho, fixed)) < 1e-12
             assert abs(got[E_TILDE] - single_node_witness(rho)) < 1e-12
 
     @pytest.mark.parametrize("sites_a, batch", [((1, 2), EVOLVE_BATCH), ((1,), 16)])
     def test_e1_fixed_batches_match_lower_estimate_1(self, monkeypatch, sites_a, batch):
         # A fixed split of unequal parts, and one with a single-site part (one
-        # subsystem MEBD only), on a grid of a little more than two batches:
-        # rho_A and rho_B go through the mixed kernel as (T, d, d) stacks.  The
+        # subsystem MEBD only), on a grid of a little more than two batches,
+        # against the dense oracle: rho_A and rho_B go through the mixed kernel
+        # as (T, d, d) stacks of 2^16 / d^2 states (16 for the 6-site part, 4 for
+        # the 7-site one), so chunk boundaries fall inside each batch too.  The
         # 7-site part costs ~35 ms per tau point, so that case takes batches of
         # 16 points: the same batch boundaries on an eighth of the grid.
         monkeypatch.setattr(dynamics, "EVOLVE_BATCH", batch)
@@ -240,8 +264,26 @@ class TestRunSweep:
         records = run_sweep(cfg)
         for i in (0, 1, batch - 1, batch, 2 * batch, len(taus) - 1):
             (psi,) = evolve(n, label, [taus[i]])
-            expected = lower_estimate_1(np.outer(psi, psi.conj()), fixed)
+            expected = dense_lower_estimate_1(np.outer(psi, psi.conj()), fixed)
             assert abs(records[i].values[E1_FIXED] - expected) < 1e-12
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_e1_fixed_matches_dense_oracle(self, data):
+        # Any label, any fixed split (one-site parts, site 1 in B) and a few tau.
+        n = data.draw(st.integers(3, 7), label="n")
+        label = data.draw(st.text("01", min_size=n, max_size=n), label="label")
+        mask_a = data.draw(st.integers(1, (1 << n) - 2), label="mask_a")
+        tau_start = data.draw(st.floats(0.0, 3.0), label="tau_start")
+        points = data.draw(st.integers(1, 4), label="points")
+        fixed = Bipartition.from_masks(n, mask_a)
+        cfg = SweepConfig(n, label, tau_start=tau_start, tau_end=tau_start + 0.3 * points - 0.15,
+                          tau_step=0.3, quantities=(E1_FIXED,), fixed_bipartition=fixed)
+        records = run_sweep(cfg)
+        assert len(records) == points
+        for rec, psi in zip(records, evolve(n, label, cfg.grid())):
+            expected = dense_lower_estimate_1(np.outer(psi, psi.conj()), fixed)
+            assert abs(rec.values[E1_FIXED] - expected) < 1e-12
 
     def test_estimator_ordering_pointwise(self):
         cfg = SweepConfig(4, "1001", tau_end=3.0, tau_step=0.1,

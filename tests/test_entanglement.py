@@ -9,7 +9,6 @@ from mebd import dynamics, entanglement, linalg
 from mebd.entanglement import (
     double_negativity,
     enumerate_bipartitions,
-    lower_estimate_1,
     lower_estimate_level,
     lower_estimates,
     max_level,
@@ -30,6 +29,7 @@ from mebd.hilbert import (
 
 from conftest import (
     bell_state,
+    dense_lower_estimate_1,
     dense_negativity,
     ghz_state,
     pure_density,
@@ -126,9 +126,8 @@ class TestDoubleNegativity:
     def test_split_on_other_register_rejected(self):
         # A 2-site split of a 3-site state must not be read as a split of sites 1..2.
         rho = pure_density(ghz_state(3))
-        for call in (double_negativity, lower_estimate_1):
-            with pytest.raises(ValueError, match=r"rho dimension 8 != 2\^2"):
-                call(rho, split(2, [1]))
+        with pytest.raises(ValueError, match=r"rho dimension 8 != 2\^2"):
+            double_negativity(rho, split(2, [1]))
 
     def test_blocked_refuses_generic_state(self, rng, monkeypatch):
         # A state that does not conserve I_z has no block structure: the
@@ -227,33 +226,10 @@ class TestSingleNodeWitness:
             assert tilde <= max(res.per_partition.values()) + 1e-9
 
 
-class TestLowerEstimate1:
-    def test_product_state(self):
-        assert lower_estimate_1(pure_density("0000"), split(4, [1, 2])) < 1e-10
-
-    def test_bell_times_bell_no_cross(self):
-        psi = np.kron(bell_state(), bell_state())
-        rho = pure_density(psi)
-        assert lower_estimate_1(rho, split(4, [1, 2])) < 1e-9
-
-    def test_single_site_part_uses_cross_only(self):
-        rho = pure_density(ghz_state(3))
-        # part {1} has no internal decomposition; min over cross and E({2,3})
-        val = lower_estimate_1(rho, split(3, [1]))
-        assert val <= double_negativity(rho, split(3, [1])) + 1e-12
-
-    def test_below_mebd(self, rng):
-        for _ in range(10):
-            rho = pure_density(random_pure_state(rng, 16))
-            e = mebd(rho).value
-            for p in enumerate_bipartitions(4):
-                assert lower_estimate_1(rho, p) <= e + 1e-9
-
-
 class TestLowerEstimateLevel:
     def test_level_one_equals_max_over_fixed_splits(self, rng):
         rho = pure_density(random_pure_state(rng, 8))
-        expected = max(lower_estimate_1(rho, p)
+        expected = max(dense_lower_estimate_1(rho, p)
                        for p in enumerate_bipartitions(3))
         assert abs(lower_estimate_level(rho, 1) - expected) < 1e-12
 
@@ -334,11 +310,10 @@ def _bad_state(kind):
     single_node_witness,
     lambda rho: pairwise_negativity(
         rho, [SiteSet.from_sites(4, [1, 2]), SiteSet.from_sites(4, [3, 4])], 0, 1),
-    lambda rho: lower_estimate_1(rho, split(4, [1, 2])),
     lambda rho: lower_estimate_level(rho, 1),
     lower_estimates,
 ], ids=["double_negativity", "mebd", "single_node_witness", "pairwise_negativity",
-        "lower_estimate_1", "lower_estimate_level", "lower_estimates"])
+        "lower_estimate_level", "lower_estimates"])
 def test_bad_density_matrix_rejected(call, kind):
     with pytest.raises(ValueError, match={"non_hermitian": "exceeds", "nan": "NaN/Inf"}[kind]):
         call(_bad_state(kind))
@@ -447,6 +422,51 @@ def test_sector_blocks_match_dense_oracle(n, k):
             assert abs(table[state, j] - dense_negativity(rho, parts[j])) < 1e-9
     assert table[1, cut] == 0.0
     assert np.all(table[2] == 0.0)
+
+
+class TestPureKernelInput:
+    # The k=2 sector amplitudes of an evolved N=4 state, and the same state in the full basis.
+    @pytest.fixture
+    def psi(self):
+        return next(dynamics.evolve(4, "1001", [1.0]))[None]
+
+    @pytest.fixture
+    def amps(self, psi):
+        return psi[:, excitation_sector(4, 2)]
+
+    def test_no_masks(self, amps):
+        with pytest.raises(ValueError, match="masks must name one or more splits"):
+            pure_negativities(amps, 4, 2, [])
+
+    @pytest.mark.parametrize("mask", [0, 15, 16, -1])
+    def test_mask_not_a_split(self, amps, mask):
+        with pytest.raises(ValueError, match="masks must name one or more splits of 4 sites"):
+            pure_negativities(amps, 4, 2, [mask])
+
+    def test_sector_size_mismatch(self, amps):
+        # Six k=2 amplitudes read as the four of a k=1 sector.
+        with pytest.raises(ValueError, match=r"finite \(T, 4\) stack, got shape \(1, 6\)"):
+            pure_negativities(amps, 4, 1, [1])
+
+    def test_short_amplitude_stack(self, amps):
+        with pytest.raises(ValueError, match=r"\(T, 6\) stack, got shape \(1, 5\)"):
+            pure_negativities(amps[:, :5], 4, 2, [1])
+
+    def test_nan_amplitudes(self, amps):
+        amps[0, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            pure_negativities(amps, 4, 2, [1, 3])
+
+    def test_full_basis_stack_too_short(self, psi):
+        with pytest.raises(ValueError, match=r"\(T, 16\) stack, got shape \(1, 8\)"):
+            pure_double_negativity(psi[:, :8], split(4, [1, 2]))
+
+    def test_full_basis_nan(self, psi):
+        # Bad input, not a numerical failure: no LinAlgError from the SVD.
+        psi[0, 3] = np.nan
+        with pytest.raises(ValueError, match="finite") as exc:
+            pure_double_negativity(psi, split(4, [1, 2]))
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
 
 
 def _sub_bipartitions(sites):
