@@ -112,23 +112,10 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
                        quantities=quantities, fixed_bipartition=fixed)
 
 
-def _manifest(cfg: SweepConfig, wall: float) -> dict:
-    return {
-        "config": {
-            "n_sites": cfg.n_sites,
-            "initial_label": cfg.initial_label,
-            "profile": cfg.profile.value,
-            "tau_start": cfg.tau_start,
-            "tau_end": cfg.tau_end,
-            "tau_step": cfg.tau_step,
-            "quantities": list(cfg.quantities),
-            "e1_partition": (cfg.fixed_bipartition
-                             or dynamics.default_fixed_bipartition(cfg.n_sites)).label(),
-        },
-        "code_version": __version__,
-        "wall_time_seconds": wall,
-        "profile_used": cfg.profile.value,
-    }
+def _manifest(config: dict, wall: float) -> dict:
+    """A run's .manifest.json: its settings under config, the code version and wall time."""
+    return {"config": config, "code_version": __version__, "wall_time_seconds": wall,
+            "profile_used": config["profile"]}
 
 
 def _write_manifest(out_path: str, manifest: dict) -> None:
@@ -152,7 +139,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        manifest = _manifest(cfg, wall)
+        manifest = _manifest({
+            "n_sites": cfg.n_sites,
+            "initial_label": cfg.initial_label,
+            "profile": cfg.profile.value,
+            "tau_start": cfg.tau_start,
+            "tau_end": cfg.tau_end,
+            "tau_step": cfg.tau_step,
+            "quantities": list(cfg.quantities),
+            "e1_partition": (cfg.fixed_bipartition
+                             or dynamics.default_fixed_bipartition(cfg.n_sites)).label(),
+        }, wall)
         manifest["diagnostics"] = _sweep_diagnostics(records, cfg)
         _write_manifest(args.out, manifest)
         _err(f"wrote {len(records)} rows to {args.out} in {wall:.1f}s")
@@ -235,10 +232,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-        _write_manifest(args.out, {"command": "table1", "profile": kind.value,
-                                   "n_list": n_list, **grid, "quantities": [MEBD],
-                                   "code_version": __version__,
-                                   "wall_time_seconds": wall})
+        _write_manifest(args.out, _manifest({"command": "table1", "profile": kind.value,
+                                             "n_list": n_list, **grid, "quantities": [MEBD]},
+                                            wall))
     if breach:
         _err(f"deviation from reference maxima exceeds {REFERENCE_TOL}")
         return EXIT_CALIBRATION
@@ -246,9 +242,11 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_negativity(args: argparse.Namespace) -> int:
-    psi = next(dynamics.evolve(args.n, args.init, [args.tau], CouplingKind(args.profile)))
+    sector, w, v, c0 = dynamics.sector_eigensystem(args.n, args.init, CouplingKind(args.profile))
+    psi = np.zeros((1, 1 << args.n), dtype=np.complex128)
+    psi[:, sector] = dynamics.amplitudes(w, v, c0, [args.tau])
     partition = parse_partition(args.partition, args.n)
-    value = float(entanglement.pure_double_negativity(psi[None], partition)[0])
+    value = float(entanglement.pure_double_negativity(psi, partition)[0])
     if args.json:
         print(json.dumps({"tau": args.tau, "partition": partition.label(),
                           "double_negativity": value}))
@@ -340,7 +338,7 @@ _shared_parser = functools.cache(build_parser)  # built by the first main() call
 
 
 def _validate_required(args: argparse.Namespace) -> None:
-    """Presence only: SweepConfig, evolve and basis_index check the values."""
+    """Presence only: SweepConfig, sector_eigensystem and basis_index check the values."""
     missing = [_option(d) for d in COMMANDS[args.command].required if getattr(args, d) is None]
     if missing:
         raise ValueError(f"missing required flags: {', '.join(missing)} (flags or --config)")

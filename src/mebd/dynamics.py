@@ -1,15 +1,13 @@
 """Time sweeps: evolve psi(tau) on a grid, evaluate witnesses, locate first maxima.
 
-H conserves the number of excitations, so only its block on the initial
-state's k-excitation sector is eigendecomposed, once; each batch of grid
-points then needs the phase factors e^{-i w tau} and one matrix product.
+H conserves the number of excitations, so sector_eigensystem diagonalises
+only its block on the initial state's k-excitation sector, once; amplitudes
+then needs the phase factors e^{-i w tau} and one matrix product per tau array.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +17,9 @@ from .hilbert import MAX_SITES, Bipartition, SiteSet, basis_index, excitation_se
 from .model import CouplingKind, build_hdz
 
 MAX_GRID_POINTS = 100_000
-# Grid points evolved per matrix product; bounds the memory of long grids.
+# run_sweep's batches: at most EVOLVE_BATCH points and GATHER_ELEMENTS gathered amplitudes.
 EVOLVE_BATCH = 128
+GATHER_ELEMENTS = 1 << 21
 
 MEBD = "mebd"
 E1_FIXED = "e1_fixed"
@@ -92,40 +91,33 @@ class MaximumReport:
     kind: str  # "grid-point" or "parabolic-refined"
 
 
-def _evolve_batches(n_sites: int, initial_label: str, taus: Iterable[float],
-                    profile: CouplingKind = CouplingKind.ALL_PAIRS_DIPOLAR
-                    ) -> Iterator[tuple[np.ndarray, np.ndarray, list[int]]]:
-    """Yield (taus, amps, sector) for consecutive batches of up to EVOLVE_BATCH grid points.
+def sector_eigensystem(n_sites: int, initial_label: str,
+                       profile: CouplingKind = CouplingKind.ALL_PAIRS_DIPOLAR) -> tuple:
+    """(sector, w, v, c0): H on the initial state's excitation sector, diagonalised once.
 
-    amps has one row psi(tau) per tau, on the initial state's excitation
-    sector: the basis indices in sector (hilbert.excitation_sector).
+    sector lists the sector's basis indices (hilbert.excitation_sector); w and v
+    are the eigenvalues and eigenvectors of H's block there (all-pairs dipolar
+    unless a profile is given), c0 the initial state in that eigenbasis.
     """
     if len(initial_label) != n_sites:
         raise ValueError("initial label length != n_sites")
     k = initial_label.count("1")
     w, v = np.linalg.eigh(build_hdz(n_sites, k, profile))
     sector = excitation_sector(n_sites, k)
-    c0 = v[sector.index(basis_index(initial_label))]
-    taus = iter(taus)
-    while (batch := np.fromiter(itertools.islice(taus, EVOLVE_BATCH), np.float64)).size:
-        bad = batch[~np.isfinite(batch)]
-        if bad.size:
-            raise ValueError(f"tau must be finite, got {bad[0]}")
-        amps = v @ (np.exp(-1j * np.outer(w, batch)) * c0[:, None])
-        yield batch, np.ascontiguousarray(amps.T), sector
+    return sector, w, v, v[sector.index(basis_index(initial_label))]
 
 
-def evolve(n_sites: int, initial_label: str, taus: Iterable[float],
-           profile: CouplingKind = CouplingKind.ALL_PAIRS_DIPOLAR) -> Iterator[np.ndarray]:
-    """Yield psi(tau) = e^{-iH tau} |initial_label> for each tau, in order, in the full 2^N basis.
+def amplitudes(w: np.ndarray, v: np.ndarray, c0: np.ndarray, taus) -> np.ndarray:
+    """psi(tau) = e^{-iH tau} psi(0) for a 1-D array of tau: (T, C(N,k)), one row per tau.
 
-    H (all-pairs dipolar unless a profile is given) is eigendecomposed once,
-    on the initial state's excitation sector; taus are evolved in batches.
+    (w, v, c0) come from sector_eigensystem; column j is the amplitude of sector[j].
     """
-    for _, amps, sector in _evolve_batches(n_sites, initial_label, taus, profile):
-        psis = np.zeros((len(amps), 1 << n_sites), dtype=np.complex128)
-        psis[:, sector] = amps
-        yield from psis
+    taus = np.asarray(taus, dtype=np.float64)
+    if taus.ndim != 1:
+        raise ValueError(f"taus must be a 1-D array, got shape {taus.shape}")
+    if not np.all(np.isfinite(taus)):
+        raise ValueError(f"tau must be finite, got {taus[~np.isfinite(taus)][0]}")
+    return np.ascontiguousarray((v @ (np.exp(-1j * np.outer(w, taus)) * c0[:, None])).T)
 
 
 def _is_one_site(p: Bipartition) -> bool:
@@ -141,6 +133,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     subsystem MEBDs of e1_fixed need mixed states: rho_A = M M^dagger and
     rho_B = M^T M^* from the fixed split's Schmidt matrices M, solved as
     (T, d, d) stacks of up to 2^16 / d^2 states, d the larger part's dimension.
+    That bound, EVOLVE_BATCH and GATHER_ELEMENTS size every batch of the grid.
     """
     q = cfg.quantities
     n, k = cfg.n_sites, cfg.initial_label.count("1")
@@ -151,24 +144,28 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
               or (E1_FIXED in q and p.part_a.mask == fixed_mask)]
     one_site = [j for j, p in enumerate(splits) if _is_one_site(p)]
     fixed_col = next((j for j, p in enumerate(splits) if p.part_a.mask == fixed_mask), None)
-    # The flat place of each basis index in the fixed split's Schmidt matrix M.
-    place = np.argsort(entanglement._schmidt_index(n, fixed.part_a.mask), axis=None)
-    step = max(1, (1 << 16) >> 2 * max(fixed.part_a.size(), fixed.part_b.size()))
+    sector, w, v, c0 = sector_eigensystem(n, cfg.initial_label, cfg.profile)
+    # The flat place of each sector amplitude in the fixed split's Schmidt matrix M.
+    place = np.argsort(entanglement._schmidt_index(n, fixed.part_a.mask), axis=None)[sector]
+    larger = max(fixed.part_a.size(), fixed.part_b.size()) if E1_FIXED in q else 0
+    batch = max(1, min(EVOLVE_BATCH, GATHER_ELEMENTS // (len(splits) * len(sector)),
+                       (1 << 16) >> 2 * larger))
 
     records = []
-    for taus, amps, sector in _evolve_batches(n, cfg.initial_label, cfg.grid(), cfg.profile):
+    grid = cfg.grid()
+    for taus in np.split(grid, range(batch, len(grid), batch)):
+        amps = amplitudes(w, v, c0, taus)
         table = entanglement.pure_negativities(amps, n, k, [p.part_a.mask for p in splits])
         if E1_FIXED in q:
             m = np.zeros((len(amps), 1 << n), dtype=np.complex128)
-            m[:, place[sector]] = amps
+            m[:, place] = amps
+            m = m.reshape(len(amps), 1 << fixed.part_a.size(), -1)
             e1 = table[:, fixed_col].copy()
-            for lo in range(0, len(amps), step):
-                c = m[lo:lo + step].reshape(-1, 1 << fixed.part_a.size(), 1 << fixed.part_b.size())
-                for mp, p in ((c, fixed.part_a), (c.swapaxes(1, 2), fixed.part_b)):
-                    if p.size() >= 2:
-                        sub = entanglement._negativities(mp @ mp.conj().swapaxes(1, 2),
-                                                         range(1, (1 << p.size()) - 1, 2))
-                        np.minimum(e1[lo:lo + step], sub.min(axis=1), out=e1[lo:lo + step])
+            for mp, p in ((m, fixed.part_a), (m.swapaxes(1, 2), fixed.part_b)):
+                if p.size() >= 2:
+                    sub = entanglement._negativities(mp @ mp.conj().swapaxes(1, 2),
+                                                     range(1, (1 << p.size()) - 1, 2))
+                    np.minimum(e1, sub.min(axis=1), out=e1)
         for t, (tau, row) in enumerate(zip(taus, table)):
             values: dict[str, float] = {}
             if MEBD in q:
@@ -178,8 +175,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
             if E_TILDE in q:
                 values[E_TILDE] = float(row[one_site].min())
             if PER_PARTITION in q:
-                for p, v in zip(splits, row):
-                    values[f"p_{p.label()}"] = float(v)
+                for p, neg in zip(splits, row):
+                    values[f"p_{p.label()}"] = float(neg)
             records.append(SweepRecord(tau=float(tau), values=values))
     return records
 

@@ -11,7 +11,8 @@ full basis, one batched svd per block shape), mixed reduced states use the
 partial transpose (_negativities, blocked or dense as decided once per state
 or stack, on site masks).  Each public function checks its input on entry
 and raises ValueError for bad shapes or NaN/Inf (linalg.check_hermitian for a
-density matrix, _check_amplitudes for pure states); the kernels behind do not.
+density matrix, _check_amplitudes for pure states); the kernels behind do not,
+and take a stack whole: dynamics.run_sweep sizes the batches it hands them.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ from .hilbert import (
     partial_transpose,
     site_index_bit,
 )
-
-
-_GATHER_ELEMENTS = 1 << 21  # amplitudes pure_negativities gathers at once: bounds its memory
 
 
 @dataclass(frozen=True)
@@ -87,8 +85,8 @@ def _negativities(rho: np.ndarray, masks: Sequence[int]) -> np.ndarray:
 
     Decided once per stack: if every rho is exactly zero (no tolerance) between
     basis states of different excitation number, each rho^{T_A} is solved with
-    one batched eigvalsh per block size, over up to 2^16 / d^2 states at a time;
-    any other stack takes dense eigensolves.
+    one batched eigvalsh per block size over the whole stack, so the caller
+    bounds the stack's size; any other stack takes dense eigensolves.
     """
     n = n_sites_of(rho)
     stack = rho.reshape(-1, 1 << n, 1 << n)
@@ -100,12 +98,10 @@ def _negativities(rho: np.ndarray, masks: Sequence[int]) -> np.ndarray:
                  for mask in masks]
         return np.array(dense).T.reshape(rho.shape[:-2] + (-1,))
     spectra = np.empty((len(stack), len(masks), 1 << n))  # the blocks cover every index
-    step = max(1, (1 << 16) >> 2 * n)  # states per pass: a pass's 1 MB stays in cache
-    for lo in range(0, len(stack), step):
-        for i, mask in enumerate(masks):
-            pt = partial_transpose(stack[lo:lo + step], SiteSet(n, mask))
-            w = [np.linalg.eigvalsh(pt[:, b[..., None], b[:, None]]) for b in _pt_blocks(n, mask)]
-            spectra[lo:lo + step, i] = np.concatenate([x.reshape(len(pt), -1) for x in w], axis=1)
+    for i, mask in enumerate(masks):
+        pt = partial_transpose(stack, SiteSet(n, mask))
+        w = [np.linalg.eigvalsh(pt[:, b[..., None], b[:, None]]) for b in _pt_blocks(n, mask)]
+        spectra[:, i] = np.concatenate([x.reshape(len(pt), -1) for x in w], axis=1)
     return linalg.negative_sum_of_eigenvalues(spectra).reshape(rho.shape[:-2] + (-1,))
 
 
@@ -190,15 +186,12 @@ def pure_negativities(amps: np.ndarray, n_sites: int, k: int, masks: Iterable[in
     Schmidt values s_i (Vidal and Werner, PRA 65, 032314, 2002); products below
     ZERO_EIGENVALUE_TOL are dropped, as in negative_sum, so product states give
     0.0.  One batched svd per block shape of _schmidt_plan (a norm for r x 1
-    blocks) serves all splits; the result is (T, len(masks)).
+    blocks) serves all splits and all T states, T * len(masks) * C(N,k)
+    gathered amplitudes, so the caller bounds T; the result is (T, len(masks)).
     """
     masks = tuple(masks)
     plan = _schmidt_plan(n_sites, k, masks)
     _check_amplitudes(amps, math.comb(n_sites, k))
-    step = max(1, _GATHER_ELEMENTS // (len(masks) * amps.shape[1]))
-    if len(amps) > step:
-        return np.concatenate([pure_negativities(amps[lo:lo + step], n_sites, k, masks)
-                               for lo in range(0, len(amps), step)])
     return _schmidt_negativities(amps, *plan, len(masks))
 
 

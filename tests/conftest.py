@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mebd import linalg
+from mebd import dynamics, linalg
 from mebd.hilbert import (Bipartition, basis_index, partial_trace, partial_transpose,
                           site_index_bit)
 from mebd.model import CouplingKind
@@ -38,6 +38,18 @@ def random_sector_state(rng, n_sites, k):
     amps = rng.normal(size=len(sec)) + 1j * rng.normal(size=len(sec))
     psi[sec] = amps / np.linalg.norm(amps)
     return psi
+
+
+def evolve_full(n_sites, label, taus, profile=CouplingKind.ALL_PAIRS_DIPOLAR):
+    """psi(tau) of a basis label in the full 2^N basis, one row per tau: (T, 2^N).
+
+    The package keeps psi on its excitation sector (dynamics.amplitudes); the
+    tests that compare it with full-basis oracles scatter the rows out here.
+    """
+    sector, w, v, c0 = dynamics.sector_eigensystem(n_sites, label, profile)
+    psis = np.zeros((len(taus), 1 << n_sites), dtype=np.complex128)
+    psis[:, sector] = dynamics.amplitudes(w, v, c0, taus)
+    return psis
 
 
 def pure_density(state, n_sites=None):

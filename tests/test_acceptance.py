@@ -28,6 +28,7 @@ from mebd.hilbert import (
 from conftest import (
     bell_state,
     dense_negativity,
+    evolve_full,
     full_hdz,
     ghz_state,
     iz_commutator,
@@ -67,7 +68,7 @@ def first_maximum(n):
 
 
 def evolve(n, label, tau):
-    (psi,) = dynamics.evolve(n, label, [tau])
+    (psi,) = evolve_full(n, label, [tau])
     return np.outer(psi, psi.conj())
 
 
@@ -187,7 +188,7 @@ def test_criterion_6_conservation():
         worst_comm = max(worst_comm, iz_commutator(full_hdz(n)))
         sector = set(excitation_sector(n, label.count("1")))
         outside = [i for i in range(1 << n) if i not in sector]
-        for psi in dynamics.evolve(n, label, np.arange(0.0, 3.01, 0.05)):
+        for psi in evolve_full(n, label, np.arange(0.0, 3.01, 0.05)):
             rho = np.outer(psi, psi.conj())
             worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))
             worst_purity = max(worst_purity, abs(np.trace(rho @ rho).real - 1.0))

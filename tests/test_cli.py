@@ -313,11 +313,12 @@ class TestTable1Command:
         assert row["value_dev"] <= 0.01
         assert row["tau_below_pi"]
         manifest = json.loads((tmp_path / "t1.json.manifest.json").read_text())
-        assert manifest["n_list"] == [3]
-        assert manifest["profile"] == "all-pairs"
-        assert (manifest["tau_start"], manifest["tau_end"], manifest["tau_step"]) \
-            == (0.0, 3.0, 0.01)
-        assert manifest["quantities"] == ["mebd"]
+        config = manifest["config"]
+        assert config["command"] == "table1"
+        assert config["n_list"] == [3]
+        assert config["profile"] == manifest["profile_used"] == "all-pairs"
+        assert (config["tau_start"], config["tau_end"], config["tau_step"]) == (0.0, 3.0, 0.01)
+        assert config["quantities"] == ["mebd"]
 
     def test_bad_n(self, capsys, tmp_path):
         # An empty list is not the default list, and a row is asked for once.
@@ -477,7 +478,9 @@ import numpy as np
 from mebd import cli, dynamics, entanglement
 cli.main(["sweep", "--n", "6", "--init", "100110", "--tau-min", "0.5", "--tau-max", "2.0",
           "--tau-step", "0.5", "--quantities", "mebd,e1_fixed"])
-psi = next(dynamics.evolve(6, "100110", [1.3]))
+sector, w, v, c0 = dynamics.sector_eigensystem(6, "100110")
+psi = np.zeros(1 << 6, dtype=np.complex128)
+psi[sector] = dynamics.amplitudes(w, v, c0, [1.3])[0]
 rho = np.outer(psi, psi.conj())
 print([entanglement.lower_estimate_level(rho, k) for k in range(1, entanglement.max_level(6) + 1)])
 cli.main(["negativity", "--n", "6", "--init", "100110", "--tau", "1.3",

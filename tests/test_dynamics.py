@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mebd import dynamics, entanglement, hilbert
 from mebd.dynamics import (
     EVOLVE_BATCH,
+    GATHER_ELEMENTS,
     MEBD,
     E1_FIXED,
     E_TILDE,
@@ -16,17 +17,18 @@ from mebd.dynamics import (
     NoMaximumFound,
     SweepConfig,
     SweepRecord,
+    amplitudes,
     default_fixed_bipartition,
-    evolve,
     find_first_maximum,
     run_sweep,
     sanity_tau_bound,
+    sector_eigensystem,
 )
 from mebd.entanglement import mebd, single_node_witness
 from mebd.hilbert import Bipartition, SiteSet, excitation_sector
 from mebd.model import CouplingKind
 
-from conftest import dense_lower_estimate_1, full_hdz, pure_density
+from conftest import dense_lower_estimate_1, evolve_full, full_hdz, pure_density
 
 
 class TestSweepConfig:
@@ -82,34 +84,56 @@ class TestEvolve:
             term = term @ (-1j * h * tau) / (k + 1)
         rho0 = pure_density("10")
         expected = series @ rho0 @ series.conj().T
-        (psi,) = evolve(2, "10", [tau], profile)
+        (psi,) = evolve_full(2, "10", [tau], profile)
         assert np.max(np.abs(np.outer(psi, psi.conj()) - expected)) < 1e-10
 
     def test_tau_zero_is_initial_state(self):
-        (psi,) = evolve(3, "010", [0.0])
+        (psi,) = evolve_full(3, "010", [0.0])
         assert np.max(np.abs(np.outer(psi, psi.conj()) - pure_density("010"))) < 1e-12
 
     def test_bad_label_length(self):
         with pytest.raises(ValueError):
-            next(evolve(3, "0101", [0.0]))
+            sector_eigensystem(3, "0101")
+        with pytest.raises(ValueError):
+            sector_eigensystem(4, "010")
 
     def test_profile_by_name(self):
-        (psi,) = evolve(3, "010", [0.1], "all-pairs")
-        (ref,) = evolve(3, "010", [0.1], CouplingKind.ALL_PAIRS_DIPOLAR)
+        (psi,) = evolve_full(3, "010", [0.1], "all-pairs")
+        (ref,) = evolve_full(3, "010", [0.1], CouplingKind.ALL_PAIRS_DIPOLAR)
         assert np.array_equal(psi, ref)
         with pytest.raises(ValueError, match="not a valid CouplingKind"):
-            next(evolve(3, "010", [0.1], "bogus"))
+            sector_eigensystem(3, "010", "bogus")
 
     def test_memory_stays_in_sector(self):
         # The N=12 half-filled sector block is 924 x 924 (6.8 MB); a 2^12 x
         # 2^12 H alone would take 134 MB.
         tracemalloc.start()
         try:
-            next(evolve(12, "101010101010", [1.0]))
+            evolve_full(12, "101010101010", [1.0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, bad):
+        _, w, v, c0 = sector_eigensystem(3, "010")
+        with pytest.raises(ValueError, match="tau must be finite"):
+            amplitudes(w, v, c0, [0.5, bad])
+
+    @pytest.mark.parametrize("taus", [0.5, [[0.5, 1.0]]])
+    def test_taus_not_one_dimensional_rejected(self, taus):
+        # np.outer would flatten a 2-D array into rows that match no input shape.
+        _, w, v, c0 = sector_eigensystem(3, "010")
+        with pytest.raises(ValueError, match="1-D"):
+            amplitudes(w, v, c0, taus)
+
+    def test_one_row_per_tau_on_the_sector(self):
+        # Column j is the amplitude of sector[j]; an empty tau array gives no rows.
+        sector, w, v, c0 = sector_eigensystem(6, "100110")
+        assert sector == excitation_sector(6, 3)
+        assert amplitudes(w, v, c0, np.linspace(0.0, 3.0, 7)).shape == (7, 20)
+        assert amplitudes(w, v, c0, []).shape == (0, 20)
 
 
 class TestRunSweep:
@@ -130,8 +154,8 @@ class TestRunSweep:
 
     def test_e1_fixed_memory_bounded_by_chunks(self):
         # A one-site fixed part leaves a 6-site part: its rho stack over a
-        # 128-point batch would be 128 x 64 x 64 complex (8 MB); it is formed
-        # in chunks of 2^16 / 64^2 = 16 states.
+        # 128-point batch would be 128 x 64 x 64 complex (8 MB); run_sweep
+        # takes the grid in batches of 2^16 / 64^2 = 16 points instead.
         fixed = Bipartition.from_masks(7, SiteSet.from_sites(7, [1]).mask)
         cfg = SweepConfig(7, "1001100", tau_end=0.01 * (EVOLVE_BATCH - 1), tau_step=0.01,
                           quantities=(E1_FIXED,), fixed_bipartition=fixed)
@@ -195,7 +219,7 @@ class TestRunSweep:
         n, label = 4, "1001"
         sector = set(excitation_sector(n, label.count("1")))
         outside = [i for i in range(1 << n) if i not in sector]
-        for psi in evolve(n, label, np.arange(0.0, 4.0, 0.25)):
+        for psi in evolve_full(n, label, np.arange(0.0, 4.0, 0.25)):
             rho = np.outer(psi, psi.conj())
             assert abs(np.trace(rho).real - 1.0) < 1e-10
             assert abs(np.trace(rho @ rho).real - 1.0) < 1e-9
@@ -223,19 +247,20 @@ class TestRunSweep:
 
     def test_batches_match_per_tau_evaluation(self):
         # A grid of a little more than two batches, checked at and across the
-        # batch boundaries against per-tau evolution and the mixed-state path.
+        # batch boundaries against per-tau evolution and the mixed-state path:
+        # every quantity, and each split's column, must come from its own tau.
         n, label = 4, "1001"
         step = 0.01
         cfg = SweepConfig(n, label, tau_end=(2 * EVOLVE_BATCH + 2) * step, tau_step=step,
-                          quantities=(MEBD, E1_FIXED, E_TILDE))
+                          quantities=(MEBD, E1_FIXED, E_TILDE, PER_PARTITION))
         taus = cfg.grid()
         assert len(taus) > 2 * EVOLVE_BATCH
         records = run_sweep(cfg)
-        batched = list(evolve(n, label, taus))
+        batched = evolve_full(n, label, taus)
         fixed = default_fixed_bipartition(n)
         for i in (0, EVOLVE_BATCH - 1, EVOLVE_BATCH, EVOLVE_BATCH + 1,
                   2 * EVOLVE_BATCH - 1, 2 * EVOLVE_BATCH, len(taus) - 1):
-            (psi,) = evolve(n, label, [taus[i]])
+            (psi,) = evolve_full(n, label, [taus[i]])
             assert np.max(np.abs(batched[i] - psi)) < 1e-13
             rho = np.outer(psi, psi.conj())
             got = records[i].values
@@ -243,16 +268,53 @@ class TestRunSweep:
             assert abs(got[MEBD] - mebd(rho).value) < 1e-12
             assert abs(got[E1_FIXED] - dense_lower_estimate_1(rho, fixed)) < 1e-12
             assert abs(got[E_TILDE] - single_node_witness(rho)) < 1e-12
+            per_partition = mebd(rho).per_partition
+            assert len(per_partition) == 7
+            for p, value in per_partition.items():
+                assert abs(got[f"p_{p.label()}"] - value) < 1e-12
+
+    def test_batch_rule_bounds_kernel_inputs(self, monkeypatch):
+        # run_sweep alone sizes the batches the kernels get: at most
+        # GATHER_ELEMENTS amplitudes per Schmidt gather (511 splits x 252
+        # amplitudes allow 16 points at N=10) and at most 2^16 entries per
+        # mixed stack (4 states of 2^7 x 2^7 for the 7-site part of 1|2..8).
+        gathers, stacks = [], []
+        pure, mixed = entanglement.pure_negativities, entanglement._negativities
+
+        def pure_counted(amps, n_sites, k, masks):
+            masks = tuple(masks)
+            gathers.append(len(amps) * len(masks) * amps.shape[1])
+            return pure(amps, n_sites, k, masks)
+
+        def mixed_counted(rho, masks):
+            stacks.append(rho.size)
+            return mixed(rho, masks)
+
+        monkeypatch.setattr(entanglement, "pure_negativities", pure_counted)
+        monkeypatch.setattr(entanglement, "_negativities", mixed_counted)
+        cfg = SweepConfig(10, "1001100110", tau_start=0.5, tau_end=0.5 + 19 * 0.05,
+                          tau_step=0.05, quantities=(MEBD,))
+        assert len(run_sweep(cfg)) == 20
+        assert len(gathers) == 2 and max(gathers) <= GATHER_ELEMENTS
+        assert not stacks
+        gathers.clear()
+        fixed = Bipartition.from_masks(8, SiteSet.from_sites(8, [1]).mask)
+        cfg = SweepConfig(8, "10011001", tau_start=0.5, tau_end=0.5 + 9 * 0.05, tau_step=0.05,
+                          quantities=(E1_FIXED,), fixed_bipartition=fixed)
+        assert len(run_sweep(cfg)) == 10
+        assert len(gathers) == len(stacks) == 3 and max(gathers) <= GATHER_ELEMENTS
+        assert max(stacks) <= 1 << 16
 
     @pytest.mark.parametrize("sites_a, batch", [((1, 2), EVOLVE_BATCH), ((1,), 16)])
     def test_e1_fixed_batches_match_lower_estimate_1(self, monkeypatch, sites_a, batch):
         # A fixed split of unequal parts, and one with a single-site part (one
-        # subsystem MEBD only), on a grid of a little more than two batches,
-        # against the dense oracle: rho_A and rho_B go through the mixed kernel
-        # as (T, d, d) stacks of 2^16 / d^2 states (16 for the 6-site part, 4 for
-        # the 7-site one), so chunk boundaries fall inside each batch too.  The
-        # 7-site part costs ~35 ms per tau point, so that case takes batches of
-        # 16 points: the same batch boundaries on an eighth of the grid.
+        # subsystem MEBD only), on a grid of a little more than two EVOLVE_BATCH
+        # lengths, against the dense oracle: rho_A and rho_B go through the
+        # mixed kernel as (T, d, d) stacks, so run_sweep cuts the grid into
+        # batches of 2^16 / d^2 points (16 for the 6-site part, 4 for the 7-site
+        # one) and the points checked sit at and across their boundaries.  The
+        # 7-site part costs ~35 ms per tau point, so that case sets EVOLVE_BATCH
+        # to 16: the same boundaries on an eighth of the grid.
         monkeypatch.setattr(dynamics, "EVOLVE_BATCH", batch)
         n, label = 8, "10011001"
         fixed = Bipartition.from_masks(n, SiteSet.from_sites(n, sites_a).mask)
@@ -263,7 +325,7 @@ class TestRunSweep:
         assert len(taus) > 2 * batch
         records = run_sweep(cfg)
         for i in (0, 1, batch - 1, batch, 2 * batch, len(taus) - 1):
-            (psi,) = evolve(n, label, [taus[i]])
+            (psi,) = evolve_full(n, label, [taus[i]])
             expected = dense_lower_estimate_1(np.outer(psi, psi.conj()), fixed)
             assert abs(records[i].values[E1_FIXED] - expected) < 1e-12
 
@@ -281,7 +343,7 @@ class TestRunSweep:
                           tau_step=0.3, quantities=(E1_FIXED,), fixed_bipartition=fixed)
         records = run_sweep(cfg)
         assert len(records) == points
-        for rec, psi in zip(records, evolve(n, label, cfg.grid())):
+        for rec, psi in zip(records, evolve_full(n, label, cfg.grid())):
             expected = dense_lower_estimate_1(np.outer(psi, psi.conj()), fixed)
             assert abs(rec.values[E1_FIXED] - expected) < 1e-12
 

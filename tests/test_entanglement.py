@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mebd import dynamics, entanglement, linalg
+from mebd import entanglement, linalg
 from mebd.entanglement import (
     double_negativity,
     enumerate_bipartitions,
@@ -31,6 +31,7 @@ from conftest import (
     bell_state,
     dense_lower_estimate_1,
     dense_negativity,
+    evolve_full,
     ghz_state,
     pure_density,
     random_pure_state,
@@ -268,7 +269,7 @@ class TestLowerEstimateLevel:
 
     def test_each_reduced_state_and_split_computed_once(self, monkeypatch):
         # N=7: 120 reduced states with two or more sites, 966 splits among them.
-        (psi,) = dynamics.evolve(7, "1001100", [1.3])
+        (psi,) = evolve_full(7, "1001100", [1.3])
         rho = np.outer(psi, psi.conj())
         counts = {"partial_trace": 0, "partial_transpose": 0}
 
@@ -428,7 +429,7 @@ class TestPureKernelInput:
     # The k=2 sector amplitudes of an evolved N=4 state, and the same state in the full basis.
     @pytest.fixture
     def psi(self):
-        return next(dynamics.evolve(4, "1001", [1.0]))[None]
+        return evolve_full(4, "1001", [1.0])
 
     @pytest.fixture
     def amps(self, psi):

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mebd.dynamics import evolve
 from mebd.hilbert import basis_index, excitation_sector
 from mebd.model import CouplingKind, build_hdz
 
-from conftest import full_hdz, iz_commutator, pure_density, total_iz
+from conftest import evolve_full, full_hdz, iz_commutator, pure_density, total_iz
 
 
 class TestCouplingProfile:
@@ -123,7 +122,7 @@ class TestSectorSupport:
         k = label.count("1")
         sector = set(excitation_sector(n, k))
         outside = [i for i in range(1 << n) if i not in sector]
-        for psi in evolve(n, label, np.linspace(0.0, 4.0, 9)):
+        for psi in evolve_full(n, label, np.linspace(0.0, 4.0, 9)):
             rho = np.outer(psi, psi.conj())
             leak = np.abs(rho[np.ix_(outside, outside)]).max()
             leak = max(leak, np.abs(rho[np.ix_(outside, sorted(sector))]).max())
