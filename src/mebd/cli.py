@@ -187,8 +187,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     for n in n_list:
         init, tau_ref, e_ref = REFERENCE_MAXIMA[n]
         cfg = SweepConfig(n_sites=n, initial_label=init, profile=kind, quantities=(MEBD,), **grid)
-        records = dynamics.run_sweep(cfg)
-        report = dynamics.find_first_maximum(records, MEBD)
+        report = dynamics.first_maximum(cfg, MEBD)
         row = {
             "n_sites": n,
             "initial_label": init,
@@ -258,8 +257,7 @@ def cmd_negativity(args: argparse.Namespace) -> int:
 def cmd_first_max(args: argparse.Namespace) -> int:
     cfg = _sweep_config(args)
     quantity = args.quantity.replace("-", "_")
-    records = dynamics.run_sweep(cfg)
-    report = dynamics.find_first_maximum(records, quantity, min_value=args.min_value)
+    report = dynamics.first_maximum(cfg, quantity, min_value=args.min_value)
     payload = {
         "quantity": quantity,
         "tau_star": report.tau_star,
@@ -308,7 +306,7 @@ COMMANDS = {
                      required=("n", "init")),
     "table1": Command(cmd_table1, "reproduce the reference maxima for N=3,4,6,8",
                       ("profile", "json", "out", "config", "n_list", "tau_step"),
-                      defaults={"tau_step": 0.01}),
+                      defaults={"tau_step": 0.05}),
     "negativity": Command(cmd_negativity, "double negativity of one split at one tau",
                           ("n", "init", "profile", "json", "config", "tau", "partition"),
                           required=("n", "init", "tau", "partition")),

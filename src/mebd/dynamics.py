@@ -20,6 +20,9 @@ MAX_GRID_POINTS = 100_000
 # run_sweep's batches: at most EVOLVE_BATCH points and GATHER_ELEMENTS gathered amplitudes.
 EVOLVE_BATCH = 128
 GATHER_ELEMENTS = 1 << 21
+# first_maximum's golden-section search stops when its bracket is this narrow in tau.
+GOLDEN_TOL = 1e-8
+GOLDEN = (3 - math.sqrt(5)) / 2  # the golden section of an interval, 0.382
 
 MEBD = "mebd"
 E1_FIXED = "e1_fixed"
@@ -88,7 +91,7 @@ class SweepRecord:
 class MaximumReport:
     tau_star: float
     value: float
-    kind: str  # "grid-point" or "parabolic-refined"
+    kind: str  # "grid-point" (find_first_maximum) or "exact" (first_maximum)
 
 
 def sector_eigensystem(n_sites: int, initial_label: str,
@@ -112,9 +115,10 @@ def amplitudes(w: np.ndarray, v: np.ndarray, c0: np.ndarray, taus) -> np.ndarray
 
     (w, v, c0) come from sector_eigensystem; column j is the amplitude of sector[j].
     """
-    taus = np.asarray(taus, dtype=np.float64)
-    if taus.ndim != 1:
-        raise ValueError(f"taus must be a 1-D array, got shape {taus.shape}")
+    taus = np.asarray(taus)
+    if taus.ndim != 1 or taus.dtype.kind not in "iuf":  # no complex, str, bool or object tau
+        raise ValueError(f"taus must be a 1-D array of real numbers, got {taus.dtype} "
+                         f"of shape {taus.shape}")
     if not np.all(np.isfinite(taus)):
         raise ValueError(f"tau must be finite, got {taus[~np.isfinite(taus)][0]}")
     return np.ascontiguousarray((v @ (np.exp(-1j * np.outer(w, taus)) * c0[:, None])).T)
@@ -124,8 +128,8 @@ def _is_one_site(p: Bipartition) -> bool:
     return p.part_a.size() == 1 or p.part_b.size() == 1
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """Evaluate the requested witnesses on the tau grid, in grid order.
+def _sweep_evaluator(cfg: SweepConfig):
+    """Prepare cfg once; return evaluate(taus), the records of any 1-D tau array.
 
     psi(tau) is pure and stays on its excitation sector, so each batch fills
     a table of Schmidt-kernel negativities, one row per tau and one column
@@ -133,7 +137,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     subsystem MEBDs of e1_fixed need mixed states: rho_A = M M^dagger and
     rho_B = M^T M^* from the fixed split's Schmidt matrices M, solved as
     (T, d, d) stacks of up to 2^16 / d^2 states, d the larger part's dimension.
-    That bound, EVOLVE_BATCH and GATHER_ELEMENTS size every batch of the grid.
+    That bound, EVOLVE_BATCH and GATHER_ELEMENTS size every batch.
     """
     q = cfg.quantities
     n, k = cfg.n_sites, cfg.initial_label.count("1")
@@ -151,43 +155,72 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     batch = max(1, min(EVOLVE_BATCH, GATHER_ELEMENTS // (len(splits) * len(sector)),
                        (1 << 16) >> 2 * larger))
 
-    records = []
-    grid = cfg.grid()
-    for taus in np.split(grid, range(batch, len(grid), batch)):
-        amps = amplitudes(w, v, c0, taus)
-        table = entanglement.pure_negativities(amps, n, k, [p.part_a.mask for p in splits])
-        if E1_FIXED in q:
-            m = np.zeros((len(amps), 1 << n), dtype=np.complex128)
-            m[:, place] = amps
-            m = m.reshape(len(amps), 1 << fixed.part_a.size(), -1)
-            e1 = table[:, fixed_col].copy()
-            for mp, p in ((m, fixed.part_a), (m.swapaxes(1, 2), fixed.part_b)):
-                if p.size() >= 2:
-                    sub = entanglement._negativities(mp @ mp.conj().swapaxes(1, 2),
-                                                     range(1, (1 << p.size()) - 1, 2))
-                    np.minimum(e1, sub.min(axis=1), out=e1)
-        for t, (tau, row) in enumerate(zip(taus, table)):
-            values: dict[str, float] = {}
-            if MEBD in q:
-                values[MEBD] = float(row.min())
+    def evaluate(taus: np.ndarray) -> list[SweepRecord]:
+        records = []
+        for chunk in np.split(taus, range(batch, len(taus), batch)):
+            amps = amplitudes(w, v, c0, chunk)
+            table = entanglement.pure_negativities(amps, n, k, [p.part_a.mask for p in splits])
             if E1_FIXED in q:
-                values[E1_FIXED] = float(e1[t])
-            if E_TILDE in q:
-                values[E_TILDE] = float(row[one_site].min())
-            if PER_PARTITION in q:
-                for p, neg in zip(splits, row):
-                    values[f"p_{p.label()}"] = float(neg)
-            records.append(SweepRecord(tau=float(tau), values=values))
-    return records
+                m = np.zeros((len(amps), 1 << n), dtype=np.complex128)
+                m[:, place] = amps
+                m = m.reshape(len(amps), 1 << fixed.part_a.size(), -1)
+                e1 = table[:, fixed_col].copy()
+                for mp, p in ((m, fixed.part_a), (m.swapaxes(1, 2), fixed.part_b)):
+                    if p.size() >= 2:
+                        sub = entanglement._negativities(mp @ mp.conj().swapaxes(1, 2),
+                                                         range(1, (1 << p.size()) - 1, 2))
+                        np.minimum(e1, sub.min(axis=1), out=e1)
+            for t, (tau, row) in enumerate(zip(chunk, table)):
+                values: dict[str, float] = {}
+                if MEBD in q:
+                    values[MEBD] = float(row.min())
+                if E1_FIXED in q:
+                    values[E1_FIXED] = float(e1[t])
+                if E_TILDE in q:
+                    values[E_TILDE] = float(row[one_site].min())
+                if PER_PARTITION in q:
+                    for p, neg in zip(splits, row):
+                        values[f"p_{p.label()}"] = float(neg)
+                records.append(SweepRecord(tau=float(tau), values=values))
+        return records
+
+    return evaluate
+
+
+def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
+    """Evaluate the requested witnesses on the tau grid, in grid order."""
+    return _sweep_evaluator(cfg)(cfg.grid())
+
+
+def first_maximum(cfg: SweepConfig, quantity: str = MEBD,
+                  min_value: float = 0.5) -> MaximumReport:
+    """find_first_maximum's grid point, refined on the real curve by golden-section search.
+
+    The search narrows the cell [tau - step, tau + step] to GOLDEN_TOL, one single-tau
+    evaluation per step, so a kink, where MEBD's minimising split changes, comes out
+    exact.  The grid point stays if the search finds no higher value.
+    """
+    evaluate = _sweep_evaluator(cfg)
+    grid = find_first_maximum(evaluate(cfg.grid()), quantity, min_value)
+    b, fb = grid.tau_star, grid.value
+    a, c = b - cfg.tau_step, b + cfg.tau_step
+    while c - a > GOLDEN_TOL:  # a < b < c and f(b) is the highest value seen
+        x = b + GOLDEN * (c - b) if c - b > b - a else b - GOLDEN * (b - a)
+        fx = evaluate(np.array([x]))[0].values[quantity]
+        if fx > fb:
+            a, b, c, fb = (b, x, c, fx) if x > b else (a, x, b, fx)
+        else:
+            a, c = (a, x) if x > b else (x, c)
+    return MaximumReport(b, fb, "exact") if fb > grid.value else grid
 
 
 def find_first_maximum(series: list[SweepRecord], quantity: str = MEBD,
                        min_value: float = 0.5) -> MaximumReport:
     """First interior grid point >= both neighbours and >= min_value.
 
-    The reported location is refined by the parabola through the point and
-    its neighbours, which needs a uniform grid; min_value filters the small
-    ripples near tau = 0 (-inf filters nothing).
+    The series must be uniform in tau, so that the point's neighbours bracket
+    the maximum first_maximum refines; min_value filters the small ripples
+    near tau = 0 (-inf filters nothing).
     """
     if math.isnan(min_value):
         raise ValueError("min_value must not be NaN")
@@ -205,16 +238,7 @@ def find_first_maximum(series: list[SweepRecord], quantity: str = MEBD,
     vals = [r.values[quantity] for r in series]
     for i in range(1, len(vals) - 1):
         if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1] and vals[i] >= min_value:
-            t0, t1, t2 = taus[i - 1], taus[i], taus[i + 1]
-            v0, v1, v2 = vals[i - 1], vals[i], vals[i + 1]
-            denom = v0 - 2 * v1 + v2
-            if denom >= -1e-15:  # flat or degenerate: keep the grid point
-                return MaximumReport(tau_star=t1, value=v1, kind="grid-point")
-            # Uniform-grid parabola through the three points.
-            h = (t2 - t0) / 2
-            shift = 0.5 * h * (v0 - v2) / denom
-            value = v1 - 0.25 * (v0 - v2) * shift / h
-            return MaximumReport(tau_star=t1 + shift, value=value, kind="parabolic-refined")
+            return MaximumReport(tau_star=taus[i], value=vals[i], kind="grid-point")
     raise NoMaximumFound(f"no local maximum of {quantity} above {min_value}")
 
 

@@ -317,8 +317,24 @@ class TestTable1Command:
         assert config["command"] == "table1"
         assert config["n_list"] == [3]
         assert config["profile"] == manifest["profile_used"] == "all-pairs"
-        assert (config["tau_start"], config["tau_end"], config["tau_step"]) == (0.0, 3.0, 0.01)
+        assert (config["tau_start"], config["tau_end"], config["tau_step"]) == (0.0, 3.0, 0.05)
         assert config["quantities"] == ["mebd"]
+
+    @pytest.mark.parametrize("step", ["0.05", "0.01"])
+    def test_exact_rows(self, capsys, step):
+        # The first maxima on the real curve, three of them kinks (N=3, 6, 8);
+        # the N=4 one-site split caps E at 1.
+        exact = {3: (1.5052390, 0.9428090), 4: (1.8188347, 1.0),
+                 6: (2.1104486, 0.9919414), 8: (2.1928126, 0.9883907)}
+        code, out, _ = run_cli(capsys, "table1", "--tau-step", step, "--json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["n_sites"] for row in rows] == [3, 4, 6, 8]
+        for row in rows:
+            tau, value = exact[row["n_sites"]]
+            assert abs(row["tau_star"] - tau) < 1e-6
+            assert abs(row["value"] - value) < 1e-6
+            assert row["value"] <= 1 + 1e-12
 
     def test_bad_n(self, capsys, tmp_path):
         # An empty list is not the default list, and a row is asked for once.
@@ -343,6 +359,14 @@ class TestFirstMaxCommand:
         assert abs(payload["tau_star"] - 1.505) < 0.01
         assert abs(payload["value"] - 0.943) < 0.01
         assert payload["tau_below_pi"]
+
+    def test_reports_exact_kind(self, capsys):
+        code, out, _ = run_cli(capsys, "first-max", "--n", "3", "--init", "010",
+                               "--tau-max", "3.0", "--tau-step", "0.05", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kind"] == "exact"
+        assert abs(payload["tau_star"] - 1.5052390) < 1e-6
 
     def test_config_sets_json_and_flags_win(self, capsys, tmp_path):
         # "json": true in the file switches on the store-true flag; underscore
@@ -471,7 +495,8 @@ def test_readme_names_resolve():
 
 
 # An N=6 sweep with e1_fixed and an N=6 ladder both reach the mixed-state
-# kernel through reduced states; the negativity query takes the pure one.
+# kernel through reduced states; the negativity query takes the pure one, and
+# first-max its golden-section search, one single-tau evaluation per step.
 # Every number is printed with repr, so equal output means equal floats.
 THREAD_WORKLOAD = """
 import numpy as np
@@ -485,6 +510,8 @@ rho = np.outer(psi, psi.conj())
 print([entanglement.lower_estimate_level(rho, k) for k in range(1, entanglement.max_level(6) + 1)])
 cli.main(["negativity", "--n", "6", "--init", "100110", "--tau", "1.3",
           "--partition", "1,2|3,4,5,6"])
+cli.main(["first-max", "--n", "6", "--init", "100110", "--tau-max", "3", "--tau-step", "0.05",
+          "--quantities", "mebd", "--json"])
 """
 
 
@@ -497,6 +524,6 @@ def test_output_independent_of_blas_thread_count():
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    # Header and four sweep rows, the ladder, the query.
-    assert len(outputs[0].splitlines()) == 7
+    # Header and four sweep rows, the ladder, the query, the seven-line first-max JSON.
+    assert len(outputs[0].splitlines()) == 14
     assert outputs[0] == outputs[1]

@@ -20,6 +20,7 @@ from mebd.dynamics import (
     amplitudes,
     default_fixed_bipartition,
     find_first_maximum,
+    first_maximum,
     run_sweep,
     sanity_tau_bound,
     sector_eigensystem,
@@ -126,6 +127,12 @@ class TestEvolve:
         # np.outer would flatten a 2-D array into rows that match no input shape.
         _, w, v, c0 = sector_eigensystem(3, "010")
         with pytest.raises(ValueError, match="1-D"):
+            amplitudes(w, v, c0, taus)
+
+    @pytest.mark.parametrize("taus", [[1 + 2j], ["0.5"]], ids=["complex", "string"])
+    def test_non_real_tau_rejected(self, taus):
+        _, w, v, c0 = sector_eigensystem(3, "010")
+        with pytest.raises(ValueError, match="real numbers"):
             amplitudes(w, v, c0, taus)
 
     def test_one_row_per_tau_on_the_sector(self):
@@ -392,8 +399,9 @@ class TestFindFirstMaximum:
         assert abs(reports[0].tau_star - reports[1].tau_star) < coarse_step
 
     def test_non_uniform_grid_rejected(self):
-        # The uniform-grid parabola would put this maximum at tau = 0.527,
-        # E = 1.494; the true maximum of 1 - (tau - 1)^2 is 1 at tau = 1.
+        # first_maximum refines inside [tau - step, tau + step], which are the
+        # grid point's neighbours only on a uniform grid; here the neighbours of
+        # tau = 1.05 are 0.9 and 3.0, and the maximum of 1 - (tau - 1)^2 is at 1.
         series = [SweepRecord(tau=t, values={MEBD: 1 - (t - 1) ** 2})
                   for t in (0.0, 0.9, 1.05, 3.0)]
         with pytest.raises(NoMaximumFound):
@@ -402,6 +410,55 @@ class TestFindFirstMaximum:
     def test_empty_series(self):
         with pytest.raises(NoMaximumFound):
             find_first_maximum([], MEBD)
+
+
+class TestFirstMaximum:
+    def test_three_site_kink_on_coarse_grid(self):
+        # At tau* the splits 1.3|2 and 1|2.3 cross; a parabola through the
+        # step-0.05 grid misses this kink by 0.0103.
+        cfg = SweepConfig(3, "010", tau_end=3.0, tau_step=0.05, quantities=(MEBD,))
+        report = first_maximum(cfg, MEBD)
+        assert report.kind == "exact"
+        assert abs(report.tau_star - 1.50524) < 1e-4
+        assert abs(report.value - 2 * math.sqrt(2) / 3) < 1e-7
+
+    @pytest.mark.parametrize("n, label", [(3, "010"), (4, "1001"), (6, "100110")])
+    def test_grid_step_does_not_move_the_maximum(self, n, label):
+        reports = [first_maximum(SweepConfig(n, label, tau_end=3.0, tau_step=step,
+                                             quantities=(MEBD,)), MEBD)
+                   for step in (0.01, 0.05)]
+        assert abs(reports[0].tau_star - reports[1].tau_star) < 1e-7
+        assert abs(reports[0].value - reports[1].value) < 1e-7
+        assert all(r.value <= 1 + 1e-12 for r in reports)  # a one-site split caps MEBD at 1
+
+    def test_value_is_the_curve_at_tau_star(self, monkeypatch):
+        # One preparation (one eigensolve) serves the grid and every search step.
+        eigensolves = []
+        monkeypatch.setattr(dynamics, "sector_eigensystem",
+                            lambda *a: eigensolves.append(a) or sector_eigensystem(*a))
+        cfg = SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05, quantities=(MEBD, E_TILDE))
+        report = first_maximum(cfg, E_TILDE)
+        assert len(eigensolves) == 1
+        grid = find_first_maximum(run_sweep(cfg), E_TILDE)
+        assert report.value > grid.value and abs(report.tau_star - grid.tau_star) <= 0.05
+        at = SweepConfig(6, "100110", tau_start=report.tau_star, tau_end=report.tau_star + 0.1,
+                         tau_step=0.1, quantities=(E_TILDE,))
+        assert abs(run_sweep(at)[0].values[E_TILDE] - report.value) < 1e-12
+
+    def test_flat_curve_keeps_the_grid_point(self):
+        cfg = SweepConfig(2, "00", tau_end=1.0, tau_step=0.25, quantities=(MEBD,))
+        report = first_maximum(cfg, MEBD, min_value=-math.inf)
+        assert report == MaximumReport(tau_star=0.25, value=0.0, kind="grid-point")
+
+    def test_scan_checks_kept(self):
+        cfg = SweepConfig(3, "010", tau_end=3.0, tau_step=0.05, quantities=(MEBD,))
+        with pytest.raises(ValueError, match="min_value") as exc:
+            first_maximum(cfg, MEBD, min_value=math.nan)
+        assert not isinstance(exc.value, NoMaximumFound)
+        with pytest.raises(ValueError, match="e_tilde"):
+            first_maximum(cfg, E_TILDE)
+        with pytest.raises(NoMaximumFound):
+            first_maximum(cfg, MEBD, min_value=2.0)
 
 
 class TestSanityTauBound:
