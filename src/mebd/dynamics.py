@@ -8,7 +8,7 @@ then needs the phase factors e^{-i w tau} and one matrix product per tau array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -131,12 +131,11 @@ def _is_one_site(p: Bipartition) -> bool:
 def _sweep_evaluator(cfg: SweepConfig):
     """Prepare cfg once; return evaluate(taus), the records of any 1-D tau array.
 
-    psi(tau) is pure and stays on its excitation sector, so each batch fills
-    a table of Schmidt-kernel negativities, one row per tau and one column
-    per split that a quantity reads, in one pure_negativities call.  Only the
-    subsystem MEBDs of e1_fixed need mixed states: rho_A = M M^dagger and
-    rho_B = M^T M^* from the fixed split's Schmidt matrices M, solved as
-    (T, d, d) stacks of up to 2^16 / d^2 states, d the larger part's dimension.
+    psi(tau) is pure and stays on its excitation sector, so each batch fills a table of
+    Schmidt-kernel negativities, one row per tau and one column per split that a quantity
+    reads, in one pure_negativities call.  Only e1_fixed needs mixed states: the rows of
+    _split_table for its parts P, on rho_P = M_P M_P^dagger (M_P the Schmidt matrix of
+    P|rest) as (T, d, d) stacks of up to 2^16 / d^2 states, d the larger part's dimension.
     That bound, EVOLVE_BATCH and GATHER_ELEMENTS size every batch.
     """
     q = cfg.quantities
@@ -149,8 +148,7 @@ def _sweep_evaluator(cfg: SweepConfig):
     one_site = [j for j, p in enumerate(splits) if _is_one_site(p)]
     fixed_col = next((j for j, p in enumerate(splits) if p.part_a.mask == fixed_mask), None)
     sector, w, v, c0 = sector_eigensystem(n, cfg.initial_label, cfg.profile)
-    # The flat place of each sector amplitude in the fixed split's Schmidt matrix M.
-    place = np.argsort(entanglement._schmidt_index(n, fixed.part_a.mask), axis=None)[sector]
+    parts = [p.mask for p in (fixed.part_a, fixed.part_b) if p.size() >= 2]  # have splits
     larger = max(fixed.part_a.size(), fixed.part_b.size()) if E1_FIXED in q else 0
     batch = max(1, min(EVOLVE_BATCH, GATHER_ELEMENTS // (len(splits) * len(sector)),
                        (1 << 16) >> 2 * larger))
@@ -161,15 +159,12 @@ def _sweep_evaluator(cfg: SweepConfig):
             amps = amplitudes(w, v, c0, chunk)
             table = entanglement.pure_negativities(amps, n, k, [p.part_a.mask for p in splits])
             if E1_FIXED in q:
-                m = np.zeros((len(amps), 1 << n), dtype=np.complex128)
-                m[:, place] = amps
-                m = m.reshape(len(amps), 1 << fixed.part_a.size(), -1)
-                e1 = table[:, fixed_col].copy()
-                for mp, p in ((m, fixed.part_a), (m.swapaxes(1, 2), fixed.part_b)):
-                    if p.size() >= 2:
-                        sub = entanglement._negativities(mp @ mp.conj().swapaxes(1, 2),
-                                                         range(1, (1 << p.size()) - 1, 2))
-                        np.minimum(e1, sub.min(axis=1), out=e1)
+                psi = np.zeros((len(amps), 1 << n), dtype=np.complex128)
+                psi[:, sector] = amps
+                ms = [(s, psi[:, entanglement._schmidt_index(n, s)]) for s in parts]
+                rows = entanglement._split_table(n, [(s, m @ m.conj().swapaxes(1, 2))
+                                                     for s, m in ms]).values()
+                e1 = np.min([table[:, fixed_col], *(c for r in rows for c in r.values())], axis=0)
             for t, (tau, row) in enumerate(zip(chunk, table)):
                 values: dict[str, float] = {}
                 if MEBD in q:
@@ -198,8 +193,10 @@ def first_maximum(cfg: SweepConfig, quantity: str = MEBD,
 
     The search narrows the cell [tau - step, tau + step] to GOLDEN_TOL, one single-tau
     evaluation per step, so a kink, where MEBD's minimising split changes, comes out
-    exact.  The grid point stays if the search finds no higher value.
+    exact.  The grid point stays if the search finds no higher value.  Only
+    quantity is evaluated if cfg has it (else the scan reports it missing).
     """
+    cfg = replace(cfg, quantities=(quantity,)) if quantity in cfg.quantities else cfg
     evaluate = _sweep_evaluator(cfg)
     grid = find_first_maximum(evaluate(cfg.grid()), quantity, min_value)
     b, fb = grid.tau_star, grid.value

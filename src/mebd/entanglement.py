@@ -8,11 +8,12 @@ level-k estimators bracket it from above and below.
 There is one kernel per kind of state: pure states use their Schmidt values
 (pure_negativities from sector amplitudes, pure_double_negativity from the
 full basis, one batched svd per block shape), mixed reduced states use the
-partial transpose (_negativities, blocked or dense as decided once per state
-or stack, on site masks).  Each public function checks its input on entry
-and raises ValueError for bad shapes or NaN/Inf (linalg.check_hermitian for a
-density matrix, _check_amplitudes for pure states); the kernels behind do not,
-and take a stack whole: dynamics.run_sweep sizes the batches it hands them.
+partial transpose (_negativities, on site masks, in excitation blocks or as
+one block), tabulated by _split_table for lower_estimates and e1_fixed.
+Each public function checks its input on entry and raises ValueError for bad
+shapes or NaN/Inf (linalg.check_hermitian for a density matrix,
+_check_amplitudes for pure states); the kernels behind do not, and take a
+stack whole: dynamics.run_sweep sizes the batches it hands them.
 """
 
 from __future__ import annotations
@@ -83,33 +84,27 @@ def _pt_blocks(n_sites: int, mask: int) -> tuple[np.ndarray, ...]:
 def _negativities(rho: np.ndarray, masks: Sequence[int]) -> np.ndarray:
     """double_negativity of validated rho, or a (..., d, d) stack, per split mask: (..., masks).
 
-    Decided once per stack: if every rho is exactly zero (no tolerance) between
-    basis states of different excitation number, each rho^{T_A} is solved with
-    one batched eigvalsh per block size over the whole stack, so the caller
-    bounds the stack's size; any other stack takes dense eigensolves.
+    Decided once per stack: if every rho is exactly zero between basis states of
+    different excitation number, rho^{T_A} has the blocks of _pt_blocks, else one
+    block of all 2^n indices.  Each block size takes one batched eigvalsh over
+    the whole stack, so the caller bounds the stack's size.
     """
     n = n_sites_of(rho)
     stack = rho.reshape(-1, 1 << n, 1 << n)
     # stack[:, b[..., None], b[:, None]] gathers the (T, count, m, m) blocks of b.
     blocked = np.count_nonzero(stack) == sum(np.count_nonzero(stack[:, b[..., None], b[:, None]])
                                              for b in _pt_blocks(n, (1 << n) - 1))
-    if not blocked:
-        dense = [[linalg.negative_sum(m) for m in partial_transpose(stack, SiteSet(n, mask))]
-                 for mask in masks]
-        return np.array(dense).T.reshape(rho.shape[:-2] + (-1,))
+    plan = _pt_blocks if blocked else lambda n, mask: (np.arange(1 << n)[None],)
     spectra = np.empty((len(stack), len(masks), 1 << n))  # the blocks cover every index
     for i, mask in enumerate(masks):
         pt = partial_transpose(stack, SiteSet(n, mask))
-        w = [np.linalg.eigvalsh(pt[:, b[..., None], b[:, None]]) for b in _pt_blocks(n, mask)]
+        w = [np.linalg.eigvalsh(pt[:, b[..., None], b[:, None]]) for b in plan(n, mask)]
         spectra[:, i] = np.concatenate([x.reshape(len(pt), -1) for x in w], axis=1)
     return linalg.negative_sum_of_eigenvalues(spectra).reshape(rho.shape[:-2] + (-1,))
 
 
 def double_negativity(rho: np.ndarray, p: Bipartition) -> float:
-    """2 |sum of negative eigenvalues| of rho^{T_A} for the split p = A|B.
-
-    Solved block by block if rho conserves the excitation number exactly, else dense.
-    """
+    """2 |sum of negative eigenvalues| of rho^{T_A} for the split p = A|B."""
     rho = linalg.check_hermitian(rho)
     if p.n_sites != n_sites_of(rho):
         raise ValueError(f"rho dimension {rho.shape[0]} != 2^{p.n_sites}")
@@ -173,10 +168,13 @@ def _schmidt_negativities(amps: np.ndarray, width: int, groups, splits: int) -> 
     return out
 
 
-def _check_amplitudes(amps: np.ndarray, size: int) -> None:
-    """Raise ValueError unless amps is a (T, size) array of finite amplitudes."""
+def _check_amplitudes(amps, size: int) -> np.ndarray:
+    """np.asarray(amps), so lists pass; ValueError unless a finite (T, size) stack of numbers."""
+    if (amps := np.asarray(amps)).dtype.kind not in "iufc":  # no str, bool or object
+        raise ValueError(f"amplitudes must be numbers, got dtype {amps.dtype}")
     if amps.ndim != 2 or amps.shape[1] != size or not np.all(np.isfinite(amps)):
         raise ValueError(f"amplitudes must be a finite (T, {size}) stack, got shape {amps.shape}")
+    return amps
 
 
 def pure_negativities(amps: np.ndarray, n_sites: int, k: int, masks: Iterable[int]) -> np.ndarray:
@@ -191,7 +189,7 @@ def pure_negativities(amps: np.ndarray, n_sites: int, k: int, masks: Iterable[in
     """
     masks = tuple(masks)
     plan = _schmidt_plan(n_sites, k, masks)
-    _check_amplitudes(amps, math.comb(n_sites, k))
+    amps = _check_amplitudes(amps, math.comb(n_sites, k))
     return _schmidt_negativities(amps, *plan, len(masks))
 
 
@@ -209,7 +207,7 @@ def pure_double_negativity(psis: np.ndarray, p: Bipartition) -> np.ndarray:
     The full basis gives one block, the whole Schmidt matrix (_schmidt_index),
     gathered as the sector blocks are.
     """
-    _check_amplitudes(psis, 1 << p.n_sites)
+    psis = _check_amplitudes(psis, 1 << p.n_sites)
     m = _schmidt_index(p.n_sites, p.part_a.mask)
     m = m if len(m) >= m.shape[1] else m.T  # tall, as in _schmidt_plan
     slots = np.arange(m.shape[1])[None]
@@ -263,21 +261,17 @@ def max_level(n_sites: int) -> int:
     return max(1, n_sites - 2)
 
 
-def _split_table(rho: np.ndarray) -> dict[int, dict[int, float]]:
-    """Double negativity of every split of every reduced state with two or more sites.
+def _split_table(n_sites: int, reduced) -> dict[int, dict[int, float | list[float]]]:
+    """Every split negativity of each (S, rho_S): S a mask of 2+ sites, rho_S their state.
 
-    Row S (a site bitmask) holds the canonical splits of rho_S, keyed by the
-    bitmask of the part A that holds S's first site: table[S][A] is N_{A, S-A}
-    on rho_S.  Each rho_S is traced from rho once.
+    table[S][A] is N_{A, S-A} on rho_S, a float, or a list if rho_S is a (T, d, d)
+    stack, for each canonical split of S: A holds S's first site, keyed by its mask.
     """
-    n = n_sites_of(rho)
     table = {}
-    for keep in range(1, 1 << n):
-        bits = [b for b in range(n) if keep >> b & 1]  # bit k of rho_S is site bits[k] + 1
-        if len(bits) < 2:
-            continue
+    for keep, rho_s in reduced:
+        bits = [b for b in range(n_sites) if keep >> b & 1]  # bit k of rho_S is site bits[k] + 1
         local = range(1, (1 << len(bits)) - 1, 2)
-        values = _negativities(partial_trace(rho, SiteSet(n, keep)), local).tolist()
+        values = np.moveaxis(_negativities(rho_s, local), -1, 0).tolist()
         table[keep] = {sum(1 << b for k, b in enumerate(bits) if a >> k & 1): v
                        for a, v in zip(local, values)}
     return table
@@ -288,14 +282,15 @@ def lower_estimates(rho: np.ndarray) -> list[float]:
 
     E^0 is exact MEBD and E^k(S) = max over splits A|B of S of min(E^(k-1)(A),
     E^(k-1)(B), N_{A,B}), with E = +inf on single sites.  The table of every
-    split negativity of every reduced state is built once (_split_table);
-    each level is one pass over its rows.
+    split negativity of every reduced state is built once (_split_table), each
+    rho_S traced from rho once; each level is one pass over its rows.
     """
     rho = linalg.check_hermitian(rho)
     n = n_sites_of(rho)
     if n < 2:
         raise ValueError(f"need at least 2 sites, got {n}")
-    table = _split_table(rho)
+    table = _split_table(n, ((s, partial_trace(rho, SiteSet(n, s)))
+                             for s in range(1, 1 << n) if s & (s - 1)))  # 2+ sites
     est = {s: min(row.values()) for s, row in table.items()}
     ladder = []
     for _ in range(max_level(n)):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mebd import dynamics, linalg
+from mebd import dynamics, entanglement, linalg
 from mebd.hilbert import (Bipartition, basis_index, partial_trace, partial_transpose,
                           site_index_bit)
 from mebd.model import CouplingKind
@@ -10,6 +10,35 @@ from mebd.model import CouplingKind
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def one_block_solves(monkeypatch):
+    """The shapes of the eigvalsh calls that the mixed kernel makes on a whole rho^{T_A}.
+
+    entanglement._negativities solves a state that does not conserve the
+    excitation number as one block of all its indices, and any other state in
+    smaller blocks; an eigvalsh call, inside the kernel, on matrices as large
+    as the kernel's input is the one-block plan.
+    """
+    calls, dims = [], []
+    kernel, eigvalsh = entanglement._negativities, np.linalg.eigvalsh
+
+    def watched_kernel(rho, masks):
+        dims.append(rho.shape[-1])
+        try:
+            return kernel(rho, masks)
+        finally:
+            dims.pop()
+
+    def watched_eigvalsh(a, *args, **kwargs):
+        if dims and a.shape[-1] == dims[-1]:
+            calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(entanglement, "_negativities", watched_kernel)
+    monkeypatch.setattr(np.linalg, "eigvalsh", watched_eigvalsh)
+    return calls
 
 
 def random_hermitian(rng, dim):

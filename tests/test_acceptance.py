@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from mebd import dynamics, linalg
+from mebd import dynamics
 from mebd.dynamics import MEBD, E1_FIXED, E_TILDE, SweepConfig
 from mebd.entanglement import (
     double_negativity,
@@ -201,7 +201,7 @@ def test_criterion_6_conservation():
            f"leak={worst_leak:.1e} comm={worst_comm:.1e}")
 
 
-def test_criterion_7_oracle_equivalence(monkeypatch):
+def test_criterion_7_oracle_equivalence(one_block_solves):
     rng = np.random.default_rng(13)
     worst_blocked = 0.0
     for trial in range(50):
@@ -212,19 +212,12 @@ def test_criterion_7_oracle_equivalence(monkeypatch):
             dense = dense_negativity(rho, p)
             worst_blocked = max(worst_blocked, abs(double_negativity(rho, p) - dense))
 
-    # Sector states must be solved block by block, never by the dense fallback.
-    def dense_fallback(m):
-        raise RuntimeError("sector state reached the dense fallback")
-
-    monkeypatch.setattr(linalg, "negative_sum", dense_fallback)
+    # Sector states must be solved block by block, never by the one-block plan.
     rho7 = evolve(7, "1001100", 1.3)
-    try:
-        mebd(rho7)
-        for level in range(1, max_level(7) + 1):
-            lower_estimate_level(rho7, level)
-        fallback_free = True
-    except RuntimeError:
-        fallback_free = False
+    mebd(rho7)
+    for level in range(1, max_level(7) + 1):
+        lower_estimate_level(rho7, level)
+    fallback_free = not one_block_solves
 
     worst_taylor = 0.0
     for n, label in ((2, "10"), (3, "010"), (3, "110")):

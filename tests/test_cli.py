@@ -508,6 +508,10 @@ psi = np.zeros(1 << 6, dtype=np.complex128)
 psi[sector] = dynamics.amplitudes(w, v, c0, [1.3])[0]
 rho = np.outer(psi, psi.conj())
 print([entanglement.lower_estimate_level(rho, k) for k in range(1, entanglement.max_level(6) + 1)])
+a = np.random.default_rng(7).normal(size=(64, 3, 2)) @ [1, 1j]  # rank 3, no sector zeros
+generic = a @ a.conj().T / np.trace(a @ a.conj().T).real
+print(list(entanglement.mebd(generic).per_partition.values()))
+print(entanglement.lower_estimates(generic))
 cli.main(["negativity", "--n", "6", "--init", "100110", "--tau", "1.3",
           "--partition", "1,2|3,4,5,6"])
 cli.main(["first-max", "--n", "6", "--init", "100110", "--tau-max", "3", "--tau-step", "0.05",
@@ -524,6 +528,7 @@ def test_output_independent_of_blas_thread_count():
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    # Header and four sweep rows, the ladder, the query, the seven-line first-max JSON.
-    assert len(outputs[0].splitlines()) == 14
+    # Header and four sweep rows, the ladder, the generic-state MEBD table and
+    # ladder, the query, the seven-line first-max JSON.
+    assert len(outputs[0].splitlines()) == 16
     assert outputs[0] == outputs[1]

@@ -450,6 +450,20 @@ class TestFirstMaximum:
         report = first_maximum(cfg, MEBD, min_value=-math.inf)
         assert report == MaximumReport(tau_star=0.25, value=0.0, kind="grid-point")
 
+    def test_evaluates_only_the_searched_quantity(self, monkeypatch):
+        # An mebd search on the default quantities forms no mixed state: the
+        # rho_A, rho_B of e1_fixed are not built for the grid or any step.
+        mixed = []
+        kernel = entanglement._negativities
+        monkeypatch.setattr(entanglement, "_negativities",
+                            lambda rho, masks: mixed.append(rho.shape) or kernel(rho, masks))
+        cfg = SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05)
+        assert cfg.quantities == (MEBD, E1_FIXED, E_TILDE)
+        report = first_maximum(cfg, MEBD)
+        assert not mixed
+        assert report == first_maximum(SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05,
+                                                   quantities=(MEBD,)), MEBD)
+
     def test_scan_checks_kept(self):
         cfg = SweepConfig(3, "010", tau_end=3.0, tau_step=0.05, quantities=(MEBD,))
         with pytest.raises(ValueError, match="min_value") as exc:

@@ -34,6 +34,7 @@ from conftest import (
     evolve_full,
     ghz_state,
     pure_density,
+    random_density,
     random_pure_state,
     random_sector_state,
     w_state,
@@ -130,19 +131,13 @@ class TestDoubleNegativity:
         with pytest.raises(ValueError, match=r"rho dimension 8 != 2\^2"):
             double_negativity(rho, split(2, [1]))
 
-    def test_blocked_refuses_generic_state(self, rng, monkeypatch):
+    def test_blocked_refuses_generic_state(self, rng, one_block_solves):
         # A state that does not conserve I_z has no block structure: the
-        # dense path must run.  The blocked path is taken on exact zeros only,
-        # so a sector state with a 1e-14 pair between excitation numbers is
-        # generic too.
-        calls = []
+        # one-block plan must run.  The blocked plan is taken on exact zeros
+        # only, so a sector state with a 1e-14 pair between excitation numbers
+        # is generic too.
+        calls = one_block_solves
         dense = linalg.negative_sum
-
-        def counted(m):
-            calls.append(m)
-            return dense(m)
-
-        monkeypatch.setattr(linalg, "negative_sum", counted)
         generic = pure_density(random_pure_state(rng, 8))
         leaky = pure_density(random_sector_state(rng, 5, 2))
         leaky[3, 7] += 1e-14  # |00011> and |00111>: 2 and 3 excitations
@@ -153,15 +148,26 @@ class TestDoubleNegativity:
             assert calls
             assert value == dense(partial_transpose(rho, p.part_a))
 
-    def test_sector_states_skip_dense_fallback(self, rng, monkeypatch):
-        def dense_fallback(m):
-            raise AssertionError("sector state reached the dense fallback")
-
-        monkeypatch.setattr(linalg, "negative_sum", dense_fallback)
+    def test_sector_states_skip_dense_fallback(self, rng, one_block_solves):
+        # A sector state, and each of its reduced states, is solved block by block.
         rho = pure_density(random_sector_state(rng, 5, 2))
         mebd(rho)
         single_node_witness(rho)
         lower_estimate_level(rho, max_level(5))
+        assert not one_block_solves, "sector state reached the one-block plan"
+
+    def test_generic_stack_one_eigvalsh_per_split(self, rng, one_block_solves):
+        # A stack of states that do not conserve I_z is solved as one block per
+        # split, for all of its states in one eigvalsh call, with the values
+        # of the dense oracle, each state on its own.
+        rhos = np.array([pure_density(random_pure_state(rng, 16)),
+                         random_density(rng, 16, rank=3), random_density(rng, 16)])
+        masks = [p.part_a.mask for p in enumerate_bipartitions(4)]
+        got = entanglement._negativities(rhos, masks)
+        assert one_block_solves == [(3, 1, 16, 16)] * len(masks)
+        expected = [[linalg.negative_sum(partial_transpose(rho, SiteSet(4, mask)))
+                     for mask in masks] for rho in rhos]
+        assert got.tolist() == expected
 
 
 class TestPairwiseNegativity:
@@ -461,6 +467,24 @@ class TestPureKernelInput:
     def test_full_basis_stack_too_short(self, psi):
         with pytest.raises(ValueError, match=r"\(T, 16\) stack, got shape \(1, 8\)"):
             pure_double_negativity(psi[:, :8], split(4, [1, 2]))
+
+    def test_array_likes_converted(self, psi, amps):
+        # A list of lists is taken as the array it converts to.
+        masks = [1, 3, 5]
+        assert np.array_equal(pure_negativities(amps.tolist(), 4, 2, masks),
+                              pure_negativities(amps, 4, 2, masks))
+        p = split(4, [1, 2])
+        assert np.array_equal(pure_double_negativity(psi.tolist(), p),
+                              pure_double_negativity(psi, p))
+
+    @pytest.mark.parametrize("dtype", [str, bool, object])
+    def test_non_numeric_amplitudes(self, psi, amps, dtype):
+        # Strings, booleans and objects are not amplitudes: ValueError, not
+        # the TypeError np.isfinite raises for strings.
+        with pytest.raises(ValueError, match=r"amplitudes must be numbers, got dtype"):
+            pure_negativities(amps.astype(dtype), 4, 2, [1])
+        with pytest.raises(ValueError, match=r"amplitudes must be numbers, got dtype"):
+            pure_double_negativity(psi.astype(dtype), split(4, [1, 2]))
 
     def test_full_basis_nan(self, psi):
         # Bad input, not a numerical failure: no LinAlgError from the SVD.
