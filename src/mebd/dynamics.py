@@ -65,9 +65,11 @@ class SweepConfig:
             raise ValueError("need 0 <= tau_start < tau_end and tau_step > 0")
         if not self.quantities:
             raise ValueError("quantities must name at least one quantity")
-        for q in self.quantities:
+        for i, q in enumerate(self.quantities):
             if q not in KNOWN_QUANTITIES:
                 raise ValueError(f"unknown quantity {q!r}")
+            if q in self.quantities[:i]:
+                raise ValueError(f"duplicate quantity {q!r}")
         if self.fixed_bipartition and self.fixed_bipartition.n_sites != self.n_sites:
             raise ValueError("fixed bipartition lives on a different register")
         if not self._span() < MAX_GRID_POINTS:  # counted before any array is built
@@ -135,8 +137,9 @@ def _sweep_evaluator(cfg: SweepConfig):
     Schmidt-kernel negativities, one row per tau and one column per split that a quantity
     reads, in one pure_negativities call.  Only e1_fixed needs mixed states: the rows of
     _split_table for its parts P, on rho_P = M_P M_P^dagger (M_P the Schmidt matrix of
-    P|rest) as (T, d, d) stacks of up to 2^16 / d^2 states, d the larger part's dimension.
-    That bound, EVOLVE_BATCH and GATHER_ELEMENTS size every batch.
+    P|rest), T of up to 2^16 / d^2 states per part, d the larger part's dimension (parts
+    of one size share one stack).  That bound, EVOLVE_BATCH and GATHER_ELEMENTS size
+    every batch.
     """
     q = cfg.quantities
     n, k = cfg.n_sites, cfg.initial_label.count("1")
@@ -161,9 +164,9 @@ def _sweep_evaluator(cfg: SweepConfig):
             if E1_FIXED in q:
                 psi = np.zeros((len(amps), 1 << n), dtype=np.complex128)
                 psi[:, sector] = amps
-                ms = [(s, psi[:, entanglement._schmidt_index(n, s)]) for s in parts]
-                rows = entanglement._split_table(n, [(s, m @ m.conj().swapaxes(1, 2))
-                                                     for s, m in ms]).values()
+                ms = {s: psi[:, entanglement._schmidt_index(n, s)] for s in parts}
+                rows = entanglement._split_table(n, parts, lambda group: np.array(
+                    [ms[s] @ ms[s].conj().swapaxes(1, 2) for s in group])).values()
                 e1 = np.min([table[:, fixed_col], *(c for r in rows for c in r.values())], axis=0)
             for t, (tau, row) in enumerate(zip(chunk, table)):
                 values: dict[str, float] = {}

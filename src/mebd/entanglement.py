@@ -7,9 +7,11 @@ level-k estimators bracket it from above and below.
 
 There is one kernel per kind of state: pure states use their Schmidt values
 (pure_negativities from sector amplitudes, pure_double_negativity from the
-full basis, one batched svd per block shape), mixed reduced states use the
-partial transpose (_negativities, on site masks, in excitation blocks or as
-one block), tabulated by _split_table for lower_estimates and e1_fixed.
+full basis, one batched svd per block shape), mixed reduced states the blocks
+of their partial transposes, gathered straight from rho for every split and
+solved with one batched eigvalsh per block size (_negativities, on site
+masks, in excitation blocks or as one block).  _split_table hands it the
+reduced states of one size as one stack, for lower_estimates and e1_fixed.
 Each public function checks its input on entry and raises ValueError for bad
 shapes or NaN/Inf (linalg.check_hermitian for a density matrix,
 _check_amplitudes for pure states); the kernels behind do not, and take a
@@ -19,9 +21,10 @@ stack whole: dynamics.run_sweep sizes the batches it hands them.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +37,12 @@ from .hilbert import (
     excitation_sector,
     n_sites_of,
     partial_trace,
-    partial_transpose,
+    partial_transpose,  # not called here: perfbench's span-recorder test looks it up here
     site_index_bit,
 )
+
+# Each eigvalsh call of _negativities gathers at most max(d^2, this) block entries per state.
+_GATHER_ENTRIES = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -60,47 +66,65 @@ def enumerate_bipartitions(n_sites: int) -> tuple[Bipartition, ...]:
     return parts
 
 
-@functools.lru_cache(maxsize=4096)
-def _pt_blocks(n_sites: int, mask: int) -> tuple[np.ndarray, ...]:
-    """Basis indices of the diagonal blocks of rho^{T_A}, A the sites of mask, by size.
+@functools.lru_cache(maxsize=64)
+def _pt_plan(n_sites: int, masks: tuple[int, ...], blocked: bool) -> tuple:
+    """The diagonal blocks of rho^{T_A}, A the sites of each mask, by size: (rows, bits, owner).
 
-    If rho conserves the excitation number, rho^{T_A} couples only basis states
-    of equal imbalance (excitations in A) - (excitations in B) (Cornfeld,
+    If rho conserves the excitation number (blocked), rho^{T_A} couples only basis
+    states of equal imbalance (excitations in A) - (excitations in B) (Cornfeld,
     Goldstein and Sela, PRA 98, 032302, 2018); A = all sites gives rho's
-    excitation sectors.  One read-only (count, m) array per block size m, sizes
-    ascending; each row is one block, in ascending imbalance, indices ascending.
+    excitation sectors.  Else it is one block of all 2^n indices.  Per block size
+    m, ascending: rows (count, m) the basis indices of each block (imbalance and
+    indices ascending), bits A's basis bits, owner the mask's place in masks.
+    That is 2^n indices per mask: the m x m gather indices are formed per chunk.
     """
-    idx = np.arange(1 << n_sites)
-    sites_a = SiteSet(n_sites, mask).sites()
-    labels = sum((idx >> site_index_bit(s, n_sites) & 1) * (1 if s in sites_a else -1)
-                 for s in range(1, n_sites + 1))
-    size = np.bincount(labels + n_sites)[labels + n_sites]  # each index's block size
-    order = np.lexsort((labels, size))
-    order.setflags(write=False)
-    cuts = np.flatnonzero(np.diff(size[order])) + 1
-    return tuple(b.reshape(-1, size[b[0]]) for b in np.split(order, cuts))
+    idx, groups = np.arange(1 << n_sites), {}
+    for i, mask in enumerate(masks):
+        sites_a = SiteSet(n_sites, mask).sites()
+        bits = sum(1 << site_index_bit(s, n_sites) for s in sites_a)
+        labels = blocked * sum((idx >> site_index_bit(s, n_sites) & 1) * (1 if s in sites_a else -1)
+                               for s in range(1, n_sites + 1))
+        size = np.bincount(labels + n_sites)[labels + n_sites]  # each index's block size
+        order = np.lexsort((labels, size))
+        for b in np.split(order, np.flatnonzero(np.diff(size[order])) + 1):
+            groups.setdefault(size[b[0]], []).append((b.reshape(-1, size[b[0]]), bits, i))
+    plan = tuple((np.concatenate([b for b, _, _ in g]).astype(np.int32),  # d^2 <= 2^24
+                  np.concatenate([np.full(len(b), bits, np.int32) for b, bits, _ in g]),
+                  np.concatenate([np.full(len(b), i) for b, _, i in g]))
+                 for _, g in sorted(groups.items()))
+    for a in itertools.chain.from_iterable(plan):
+        a.setflags(write=False)  # the cache hands these arrays to every caller
+    return plan
 
 
 def _negativities(rho: np.ndarray, masks: Sequence[int]) -> np.ndarray:
     """double_negativity of validated rho, or a (..., d, d) stack, per split mask: (..., masks).
 
     Decided once per stack: if every rho is exactly zero between basis states of
-    different excitation number, rho^{T_A} has the blocks of _pt_blocks, else one
-    block of all 2^n indices.  Each block size takes one batched eigvalsh over
-    the whole stack, so the caller bounds the stack's size.
+    different excitation number, rho^{T_A} has the imbalance blocks of _pt_plan,
+    else one block of all 2^n indices.  The blocks of every split are gathered
+    straight from rho, rho^{T_A}[r, c] = rho[r ^ x, c ^ x] with x = (r ^ c) & (A's
+    bits), one block size at a time, in chunks of at most max(d^2, _GATHER_ENTRIES)
+    entries per state: one eigvalsh call per chunk, a count that does not depend
+    on the stack's length.  Each block's negative sum is added to its split's column.
     """
     n = n_sites_of(rho)
-    stack = rho.reshape(-1, 1 << n, 1 << n)
-    # stack[:, b[..., None], b[:, None]] gathers the (T, count, m, m) blocks of b.
+    d = 1 << n
+    stack = rho.reshape(-1, d, d)
+    # stack[:, b[..., None], b[:, None]] gathers the (T, count, m, m) excitation sectors b.
     blocked = np.count_nonzero(stack) == sum(np.count_nonzero(stack[:, b[..., None], b[:, None]])
-                                             for b in _pt_blocks(n, (1 << n) - 1))
-    plan = _pt_blocks if blocked else lambda n, mask: (np.arange(1 << n)[None],)
-    spectra = np.empty((len(stack), len(masks), 1 << n))  # the blocks cover every index
-    for i, mask in enumerate(masks):
-        pt = partial_transpose(stack, SiteSet(n, mask))
-        w = [np.linalg.eigvalsh(pt[:, b[..., None], b[:, None]]) for b in plan(n, mask)]
-        spectra[:, i] = np.concatenate([x.reshape(len(pt), -1) for x in w], axis=1)
-    return linalg.negative_sum_of_eigenvalues(spectra).reshape(rho.shape[:-2] + (-1,))
+                                             for b, _, _ in _pt_plan(n, (d - 1,), True))
+    flat = stack.reshape(len(stack), d * d)
+    out = np.zeros((len(masks), len(stack)))
+    for rows, bits, owner in _pt_plan(n, tuple(masks), blocked):
+        step = max(1, max(d * d, _GATHER_ENTRIES) // rows.shape[1] ** 2)  # blocks per call
+        for lo in range(0, len(rows), step):
+            r = rows[lo:lo + step, :, None]
+            c = r.transpose(0, 2, 1)
+            x = (r ^ c) & bits[lo:lo + step, None, None]  # the bits of A where r and c differ
+            w = np.linalg.eigvalsh(flat[:, ((r ^ x) << n) | (c ^ x)])
+            np.add.at(out, owner[lo:lo + step], linalg.negative_sum_of_eigenvalues(w).T)
+    return out.T.reshape(rho.shape[:-2] + (len(masks),))
 
 
 def double_negativity(rho: np.ndarray, p: Bipartition) -> float:
@@ -261,19 +285,23 @@ def max_level(n_sites: int) -> int:
     return max(1, n_sites - 2)
 
 
-def _split_table(n_sites: int, reduced) -> dict[int, dict[int, float | list[float]]]:
-    """Every split negativity of each (S, rho_S): S a mask of 2+ sites, rho_S their state.
+def _split_table(n_sites: int, keeps: Iterable[int],
+                 states: Callable[[list[int]], np.ndarray]) -> dict[int, dict[int, float | list]]:
+    """Every split negativity of the reduced state on each mask S of keeps (2+ sites each).
 
-    table[S][A] is N_{A, S-A} on rho_S, a float, or a list if rho_S is a (T, d, d)
-    stack, for each canonical split of S: A holds S's first site, keyed by its mask.
+    states(group) gives the states on a list of masks of one size as one stack,
+    (len(group), d, d) or (len(group), T, d, d); one size is formed and solved at
+    a time.  table[S][A] is N_{A, S-A} on rho_S, a float, or a list over T, for
+    each canonical split of S: A holds S's first site, keyed by its mask.
     """
-    table = {}
-    for keep, rho_s in reduced:
-        bits = [b for b in range(n_sites) if keep >> b & 1]  # bit k of rho_S is site bits[k] + 1
-        local = range(1, (1 << len(bits)) - 1, 2)
-        values = np.moveaxis(_negativities(rho_s, local), -1, 0).tolist()
-        table[keep] = {sum(1 << b for k, b in enumerate(bits) if a >> k & 1): v
-                       for a, v in zip(local, values)}
+    table, keeps = {}, list(keeps)
+    for size in sorted({s.bit_count() for s in keeps}):
+        group = [s for s in keeps if s.bit_count() == size]
+        local = range(1, (1 << size) - 1, 2)
+        for keep, v in zip(group, _negativities(states(group), local)):
+            bits = [b for b in range(n_sites) if keep >> b & 1]  # bit k of rho_S: site bits[k]+1
+            table[keep] = {sum(1 << b for k, b in enumerate(bits) if a >> k & 1): x
+                           for a, x in zip(local, np.moveaxis(v, -1, 0).tolist())}
     return table
 
 
@@ -289,8 +317,14 @@ def lower_estimates(rho: np.ndarray) -> list[float]:
     n = n_sites_of(rho)
     if n < 2:
         raise ValueError(f"need at least 2 sites, got {n}")
-    table = _split_table(n, ((s, partial_trace(rho, SiteSet(n, s)))
-                             for s in range(1, 1 << n) if s & (s - 1)))  # 2+ sites
+
+    def traces(group):  # filled in place: a list of the rho_S would hold them twice
+        out = np.empty((len(group),) + (1 << group[0].bit_count(),) * 2, rho.dtype)
+        for i, s in enumerate(group):
+            out[i] = partial_trace(rho, SiteSet(n, s))
+        return out
+
+    table = _split_table(n, (s for s in range(1, 1 << n) if s & (s - 1)), traces)  # 2+ sites
     est = {s: min(row.values()) for s, row in table.items()}
     ladder = []
     for _ in range(max_level(n)):

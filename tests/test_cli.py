@@ -96,6 +96,15 @@ class TestSweepCommand:
             vals = [float(x) for x in line.split(",")]
             assert min(vals[2:]) == vals[1]
 
+    @pytest.mark.parametrize("quantities, repeated", [
+        ("mebd,mebd", "mebd"), ("mebd,per-partition,per_partition", "per_partition")])
+    def test_duplicate_quantities(self, capsys, quantities, repeated):
+        code, out, err = run_cli(capsys, "sweep", "--n", "3", "--init", "010", "--tau-max", "0.5",
+                                 "--quantities", quantities)
+        assert code == 2
+        assert err == f"mebd: duplicate quantity '{repeated}'\n"
+        assert not out
+
     def test_missing_flags(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "3")
         assert code == 2

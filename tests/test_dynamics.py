@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mebd import dynamics, entanglement, hilbert
+from mebd import dynamics, entanglement
 from mebd.dynamics import (
     EVOLVE_BATCH,
     GATHER_ELEMENTS,
@@ -56,6 +56,13 @@ class TestSweepConfig:
     def test_empty_quantities(self):
         with pytest.raises(ValueError, match="quantities"):
             SweepConfig(3, "010", quantities=())
+
+    @pytest.mark.parametrize("quantities, repeated", [
+        ((MEBD, MEBD), MEBD), ((MEBD, E_TILDE, PER_PARTITION, E_TILDE), E_TILDE)])
+    def test_duplicate_quantities(self, quantities, repeated):
+        # A repeated quantity would give one column, not the two asked for.
+        with pytest.raises(ValueError, match=f"duplicate quantity '{repeated}'"):
+            SweepConfig(3, "010", quantities=quantities)
 
     def test_fixed_split_on_other_register(self):
         with pytest.raises(ValueError):
@@ -234,19 +241,18 @@ class TestRunSweep:
 
     def test_never_transposes_full_state(self, monkeypatch):
         # Every split of the pure psi(tau) goes through the Schmidt kernel;
-        # only the e1_fixed subsystem states reach the partial transpose.
+        # only the e1_fixed subsystem states reach the mixed kernel.
         n = 6
-        transpose = hilbert.partial_transpose
+        kernel = entanglement._negativities
         seen = []
 
-        def guarded(rho, subset):
+        def guarded(rho, masks):
             if rho.shape[-1] == 1 << n:
-                raise AssertionError("partial transpose of the full 2^N state")
+                raise AssertionError("the full 2^N state reached the mixed kernel")
             seen.append(rho.shape[-1])
-            return transpose(rho, subset)
+            return kernel(rho, masks)
 
-        monkeypatch.setattr(hilbert, "partial_transpose", guarded)
-        monkeypatch.setattr(entanglement, "partial_transpose", guarded)
+        monkeypatch.setattr(entanglement, "_negativities", guarded)
         cfg = SweepConfig(n, "100110", tau_end=1.0, tau_step=0.25,
                           quantities=(MEBD, E1_FIXED, E_TILDE, PER_PARTITION))
         assert len(run_sweep(cfg)) == 5

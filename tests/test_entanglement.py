@@ -156,18 +156,64 @@ class TestDoubleNegativity:
         lower_estimate_level(rho, max_level(5))
         assert not one_block_solves, "sector state reached the one-block plan"
 
-    def test_generic_stack_one_eigvalsh_per_split(self, rng, one_block_solves):
+    def test_generic_stack_one_eigvalsh_for_all_splits(self, rng, one_block_solves):
         # A stack of states that do not conserve I_z is solved as one block per
-        # split, for all of its states in one eigvalsh call, with the values
-        # of the dense oracle, each state on its own.
+        # split, all splits of all its states in one eigvalsh call, with the
+        # values of the dense oracle, each state on its own.
         rhos = np.array([pure_density(random_pure_state(rng, 16)),
                          random_density(rng, 16, rank=3), random_density(rng, 16)])
         masks = [p.part_a.mask for p in enumerate_bipartitions(4)]
         got = entanglement._negativities(rhos, masks)
-        assert one_block_solves == [(3, 1, 16, 16)] * len(masks)
+        assert one_block_solves == [(3, len(masks), 16, 16)]
         expected = [[linalg.negative_sum(partial_transpose(rho, SiteSet(4, mask)))
                      for mask in masks] for rho in rhos]
         assert got.tolist() == expected
+
+
+def _product_state(rng, n):
+    """A generic pure state that is a product across every split."""
+    psi = np.ones(1)
+    for _ in range(n):
+        psi = np.kron(psi, random_pure_state(rng, 2))
+    return pure_density(psi)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.data())
+def test_kernel_matches_dense_oracle(n, data):
+    # Every mask of n sites on a random stack, sector (mixtures of sector
+    # states), generic, or the reduced states of one larger sector state,
+    # with a product state in it, against the dense oracle per (state,
+    # split).  The gather bound at 0 leaves one state's d^2 entries per
+    # eigvalsh call, so the block-size groups of 5 and 6 sites, and every
+    # one-block group, span several chunks.
+    kind = data.draw(st.sampled_from(["sector", "generic", "reduced"]), label="kind")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    count = data.draw(st.integers(1, 4), label="count")
+    d = 1 << n
+    if kind == "sector":
+        rhos = [sum(w * pure_density(random_sector_state(rng, n, int(rng.integers(n + 1))))
+                    for w in rng.dirichlet(np.ones(int(rng.integers(1, 4)))))
+                for _ in range(count)]
+        rhos.append(pure_density(format(int(rng.integers(d)), f"0{n}b")))  # a basis state
+    elif kind == "generic":
+        rhos = [random_density(rng, d, rank=int(rng.integers(1, d + 1))) for _ in range(count)]
+        rhos.append(_product_state(rng, n))
+    else:
+        big = n + 2
+        rho = pure_density(random_sector_state(rng, big, int(rng.integers(1, big))))
+        keeps = rng.choice([s for s in range(1 << big) if s.bit_count() == n], count)
+        rhos = [partial_trace(rho, SiteSet(big, int(s))) for s in keeps]
+        rhos.append(pure_density(format(int(rng.integers(d)), f"0{n}b")))
+    masks = range(1, d - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entanglement, "_GATHER_ENTRIES", 0)
+        got = entanglement._negativities(np.array(rhos), masks)
+    expected = [[dense_negativity(rho, Bipartition.from_masks(n, mask)) for mask in masks]
+                for rho in rhos]
+    assert np.max(np.abs(got - expected)) <= 1e-12
+    assert np.all(got[-1] == 0.0)  # the product state, exactly
 
 
 class TestPairwiseNegativity:
@@ -274,29 +320,36 @@ class TestLowerEstimateLevel:
             lower_estimates(np.eye(2) / 2)
 
     def test_each_reduced_state_and_split_computed_once(self, monkeypatch):
-        # N=7: 120 reduced states with two or more sites, 966 splits among them.
+        # N=7: 120 reduced states with two or more sites, 966 splits among
+        # them.  The states of one size go to the mixed kernel as one stack,
+        # 6 calls, which makes one eigvalsh call per block size and gather
+        # chunk: 37 (2, 2, 3, 4, 10 and 16 for 2..7 sites).
         (psi,) = evolve_full(7, "1001100", [1.3])
         rho = np.outer(psi, psi.conj())
-        counts = {"partial_trace": 0, "partial_transpose": 0}
+        counts = {}
+        trace, kernel, eigvalsh = (entanglement.partial_trace, entanglement._negativities,
+                                   np.linalg.eigvalsh)
 
-        def counted(name):
-            fn = getattr(entanglement, name)
+        def count(name, k=1):
+            counts[name] = counts.get(name, 0) + k
 
-            def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
+        def counted_kernel(rho_s, masks):
+            count("kernel")
+            count("splits", len(masks) * rho_s[..., 0, 0].size)
+            return kernel(rho_s, masks)
 
-            return wrapper
-
-        for name in counts:
-            monkeypatch.setattr(entanglement, name, counted(name))
+        monkeypatch.setattr(entanglement, "partial_trace",
+                            lambda *args: count("partial_trace") or trace(*args))
+        monkeypatch.setattr(entanglement, "_negativities", counted_kernel)
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda *args: count("eigvalsh") or eigvalsh(*args))
         # Each level call builds the table anew; one lower_estimates call
         # builds it once for the whole ladder.
         calls = [functools.partial(lower_estimate_level, rho, k) for k in range(1, max_level(7) + 1)]
         for call in calls + [functools.partial(lower_estimates, rho)]:
-            counts.update(partial_trace=0, partial_transpose=0)
+            counts.clear()
             call()
-            assert counts == {"partial_trace": 120, "partial_transpose": 966}
+            assert counts == {"partial_trace": 120, "kernel": 6, "splits": 966, "eigvalsh": 37}
 
 
 def _bad_state(kind):
