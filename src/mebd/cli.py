@@ -264,12 +264,13 @@ def cmd_first_max(args: argparse.Namespace) -> int:
         "value": report.value,
         "kind": report.kind,
         "tau_below_pi": dynamics.sanity_tau_bound(report),
+        "splits": list(report.splits),
     }
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
         print(f"{quantity}: tau*={report.tau_star:.6f} value={report.value:.6f} "
-              f"({report.kind})")
+              f"({report.kind}) splits={','.join(report.splits) or '-'}")
     return 0
 
 

@@ -23,6 +23,8 @@ GATHER_ELEMENTS = 1 << 21
 # first_maximum's golden-section search stops when its bracket is this narrow in tau.
 GOLDEN_TOL = 1e-8
 GOLDEN = (3 - math.sqrt(5)) / 2  # the golden section of an interval, 0.382
+# first_maximum's candidates: this many lowest splits at each point of the grid cell.
+CANDIDATE_SPLITS = 4
 
 MEBD = "mebd"
 E1_FIXED = "e1_fixed"
@@ -94,6 +96,7 @@ class MaximumReport:
     tau_star: float
     value: float
     kind: str  # "grid-point" (find_first_maximum) or "exact" (first_maximum)
+    splits: tuple[str, ...] = ()  # an exact mebd or e_tilde maximum's minimising splits
 
 
 def sector_eigensystem(n_sites: int, initial_label: str,
@@ -131,7 +134,8 @@ def _is_one_site(p: Bipartition) -> bool:
 
 
 def _sweep_evaluator(cfg: SweepConfig):
-    """Prepare cfg once; return evaluate(taus), the records of any 1-D tau array.
+    """Prepare cfg once; return evaluate(taus), the records of any 1-D tau array, and
+    rows(taus, masks), the (T, len(masks)) pure-split negativities of psi(tau).
 
     psi(tau) is pure and stays on its excitation sector, so each batch fills a table of
     Schmidt-kernel negativities, one row per tau and one column per split that a quantity
@@ -182,12 +186,13 @@ def _sweep_evaluator(cfg: SweepConfig):
                 records.append(SweepRecord(tau=float(tau), values=values))
         return records
 
-    return evaluate
+    return evaluate, lambda taus, masks: entanglement.pure_negativities(
+        amplitudes(w, v, c0, taus), n, k, masks)
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the requested witnesses on the tau grid, in grid order."""
-    return _sweep_evaluator(cfg)(cfg.grid())
+    return _sweep_evaluator(cfg)[0](cfg.grid())
 
 
 def first_maximum(cfg: SweepConfig, quantity: str = MEBD,
@@ -195,23 +200,46 @@ def first_maximum(cfg: SweepConfig, quantity: str = MEBD,
     """find_first_maximum's grid point, refined on the real curve by golden-section search.
 
     The search narrows the cell [tau - step, tau + step] to GOLDEN_TOL, one single-tau
-    evaluation per step, so a kink, where MEBD's minimising split changes, comes out
-    exact.  The grid point stays if the search finds no higher value.  Only
-    quantity is evaluated if cfg has it (else the scan reports it missing).
+    evaluation per step, so a kink, where the minimising split changes, comes out exact.
+    mebd and e_tilde, minima over pure splits, are searched on R >= the curve, the
+    minimum over candidates: the CANDIDATE_SPLITS lowest at each grid point of the cell.
+    The full rows at the final bracket a < b < c certify b: if b's has its minimum at a
+    candidate, curve(b) = R(b) >= max R >= max curve; else that split joins the
+    candidates and the search reruns.  Their splits at the minimum are the report's
+    splits.  e1_fixed keeps its whole split set.  The grid point stays if the search
+    finds no higher value.  Only quantity is evaluated if cfg has it (else the scan
+    reports it missing).
     """
     cfg = replace(cfg, quantities=(quantity,)) if quantity in cfg.quantities else cfg
-    evaluate = _sweep_evaluator(cfg)
+    evaluate, rows = _sweep_evaluator(cfg)
     grid = find_first_maximum(evaluate(cfg.grid()), quantity, min_value)
-    b, fb = grid.tau_star, grid.value
-    a, c = b - cfg.tau_step, b + cfg.tau_step
-    while c - a > GOLDEN_TOL:  # a < b < c and f(b) is the highest value seen
-        x = b + GOLDEN * (c - b) if c - b > b - a else b - GOLDEN * (b - a)
-        fx = evaluate(np.array([x]))[0].values[quantity]
-        if fx > fb:
-            a, b, c, fb = (b, x, c, fx) if x > b else (a, x, b, fx)
+    cell = grid.tau_star + cfg.tau_step * np.array([-1.0, 0.0, 1.0])
+    masks = [p.part_a.mask for p in entanglement.enumerate_bipartitions(cfg.n_sites)
+             if quantity == MEBD or (quantity == E_TILDE and _is_one_site(p))]
+    cand = sorted(set(np.argsort(rows(cell, masks), kind="stable")[:, :CANDIDATE_SPLITS].flat)
+                  if masks else [])
+    (a, b, c), fb, low = cell, grid.value, np.zeros((3, 0), dtype=bool)
+    while True:  # a < b < c and R(b) = fb is the highest value seen
+        if c - a > GOLDEN_TOL:
+            x = b + GOLDEN * (c - b) if c - b > b - a else b - GOLDEN * (b - a)
+            fx = (rows([x], [masks[j] for j in cand]).min() if masks
+                  else evaluate(np.array([x]))[0].values[quantity])
+            if fx > fb:
+                a, b, c, fb = (b, x, c, fx) if x > b else (a, x, b, fx)
+            else:
+                a, c = (a, x) if x > b else (x, c)
+        elif masks:  # the certificate: one full row at each of a, b and c
+            final = rows([a, b, c], masks)
+            low = final == final.min(axis=1, keepdims=True)
+            if low[1, cand].any():
+                break
+            cand = sorted(cand + [int(final[1].argmin())])
+            (a, b, c), fb = cell, grid.value
         else:
-            a, c = (a, x) if x > b else (x, c)
-    return MaximumReport(b, fb, "exact") if fb > grid.value else grid
+            break
+    splits = tuple(Bipartition.from_masks(cfg.n_sites, m).label()
+                   for m, hit in zip(masks, low.any(axis=0)) if hit)
+    return MaximumReport(float(b), float(fb), "exact", splits) if fb > grid.value else grid
 
 
 def find_first_maximum(series: list[SweepRecord], quantity: str = MEBD,

@@ -119,14 +119,12 @@ def partial_trace(rho: np.ndarray, keep: SiteSet) -> np.ndarray:
         raise ValueError(f"rho dimension {rho.shape[0]} != 2^{n}")
     if keep.mask == (1 << n) - 1:
         return rho.copy()
-    keep_axes = [s - 1 for s in keep.sites()]
-    drop_axes = [s - 1 for s in keep.complement().sites()]
-    dk = 1 << len(keep_axes)
-    dr = 1 << len(drop_axes)
-    t = rho.reshape((2,) * (2 * n))
-    perm = keep_axes + drop_axes + [n + a for a in keep_axes] + [n + a for a in drop_axes]
-    t = t.transpose(perm).reshape(dk, dr, dk, dr)
-    return np.einsum("arbr->ab", t)
+    # Axis i (i < n) of the (2,)*2N view is site i+1's row, axis n+i its column; a traced
+    # site's two axes share one subscript, so einsum sums their diagonal without a copy.
+    kept = [i for i in range(n) if keep.mask >> i & 1]
+    cols = [n + i if keep.mask >> i & 1 else i for i in range(n)]
+    return np.einsum(rho.reshape((2,) * (2 * n)), [*range(n), *cols],
+                     kept + [n + i for i in kept]).reshape(1 << len(kept), -1)
 
 
 def partial_transpose(rho: np.ndarray, subset: SiteSet) -> np.ndarray:

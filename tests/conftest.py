@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,42 @@ def pure_density(state, n_sites=None):
     if n_sites is not None and psi.shape[0] != (1 << n_sites):
         raise ValueError(f"state dimension {psi.shape[0]} != 2^{n_sites}")
     return np.outer(psi, psi.conj())
+
+
+def transposed_partial_trace(rho, keep):
+    """Oracle of hilbert.partial_trace: permute the kept sites' axes first, copy, then trace.
+
+    This is the transpose-and-reshape form that partial_trace used before it
+    traced the (2,)*2N view in place.
+    """
+    n = keep.n_sites
+    keep_axes = [s - 1 for s in keep.sites()]
+    drop_axes = [s - 1 for s in keep.complement().sites()]
+    dk, dr = 1 << len(keep_axes), 1 << len(drop_axes)
+    perm = keep_axes + drop_axes + [n + a for a in keep_axes] + [n + a for a in drop_axes]
+    t = rho.reshape((2,) * (2 * n)).transpose(perm).reshape(dk, dr, dk, dr)
+    return np.einsum("arbr->ab", t)
+
+
+def all_splits_first_maximum(cfg, quantity=dynamics.MEBD, min_value=0.5):
+    """Oracle of dynamics.first_maximum: golden-section search with every split at each step.
+
+    The search that first_maximum made before it searched candidate splits: each
+    step evaluates the whole curve at one tau; returns (tau*, value, kind).
+    """
+    cfg = replace(cfg, quantities=(quantity,))
+    evaluate = dynamics._sweep_evaluator(cfg)[0]
+    grid = dynamics.find_first_maximum(evaluate(cfg.grid()), quantity, min_value)
+    b, fb = grid.tau_star, grid.value
+    a, c = b - cfg.tau_step, b + cfg.tau_step
+    while c - a > dynamics.GOLDEN_TOL:
+        x = b + dynamics.GOLDEN * (c - b) if c - b > b - a else b - dynamics.GOLDEN * (b - a)
+        fx = evaluate(np.array([x]))[0].values[quantity]
+        if fx > fb:
+            a, b, c, fb = (b, x, c, fx) if x > b else (a, x, b, fx)
+        else:
+            a, c = (a, x) if x > b else (x, c)
+    return (b, fb, "exact") if fb > grid.value else (grid.tau_star, grid.value, grid.kind)
 
 
 def dense_negativity(rho, p):

@@ -377,6 +377,15 @@ class TestFirstMaxCommand:
         assert payload["kind"] == "exact"
         assert abs(payload["tau_star"] - 1.5052390) < 1e-6
 
+    def test_reports_the_splits_at_the_maximum(self, capsys):
+        args = ("first-max", "--n", "3", "--init", "010", "--tau-max", "3.0", "--tau-step", "0.05")
+        code, out, _ = run_cli(capsys, *args, "--json")
+        assert code == 0
+        assert json.loads(out)["splits"] == ["1|2.3", "1.3|2"]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert out.rstrip().endswith("(exact) splits=1|2.3,1.3|2")
+
     def test_config_sets_json_and_flags_win(self, capsys, tmp_path):
         # "json": true in the file switches on the store-true flag; underscore
         # and dash spellings both work; --min-value on the command line
@@ -538,6 +547,6 @@ def test_output_independent_of_blas_thread_count():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     # Header and four sweep rows, the ladder, the generic-state MEBD table and
-    # ladder, the query, the seven-line first-max JSON.
-    assert len(outputs[0].splitlines()) == 16
+    # ladder, the query, the twelve-line first-max JSON (three splits).
+    assert len(outputs[0].splitlines()) == 21
     assert outputs[0] == outputs[1]

@@ -9,6 +9,7 @@ from mebd import dynamics, entanglement
 from mebd.dynamics import (
     EVOLVE_BATCH,
     GATHER_ELEMENTS,
+    GOLDEN_TOL,
     MEBD,
     E1_FIXED,
     E_TILDE,
@@ -29,7 +30,8 @@ from mebd.entanglement import mebd, single_node_witness
 from mebd.hilbert import Bipartition, SiteSet, excitation_sector
 from mebd.model import CouplingKind
 
-from conftest import dense_lower_estimate_1, evolve_full, full_hdz, pure_density
+from conftest import (all_splits_first_maximum, dense_lower_estimate_1, evolve_full, full_hdz,
+                      pure_density)
 
 
 class TestSweepConfig:
@@ -479,6 +481,77 @@ class TestFirstMaximum:
             first_maximum(cfg, E_TILDE)
         with pytest.raises(NoMaximumFound):
             first_maximum(cfg, MEBD, min_value=2.0)
+
+
+def kernel_calls(monkeypatch):
+    """(states, masks) of each pure_negativities call, in call order."""
+    calls, kernel = [], entanglement.pure_negativities
+    monkeypatch.setattr(entanglement, "pure_negativities", lambda amps, n, k, masks: (
+        calls.append((len(amps), len(masks))) or kernel(amps, n, k, masks)))
+    return calls
+
+
+class TestCertifiedSearch:
+    @pytest.mark.parametrize("n", range(3, 8))
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(st.data())
+    def test_matches_all_splits_search(self, n, data):
+        excited = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n - 1))]
+        label = "".join("1" if i in excited else "0" for i in range(n))
+        cfg = SweepConfig(n, label, data.draw(st.sampled_from(list(CouplingKind))),
+                          tau_end=4.0, tau_step=data.draw(st.sampled_from([0.05, 0.1])))
+        quantity = data.draw(st.sampled_from([MEBD, E_TILDE]), label="quantity")
+        try:
+            tau, value, kind = all_splits_first_maximum(cfg, quantity, min_value=0.1)
+        except NoMaximumFound:
+            with pytest.raises(NoMaximumFound):
+                first_maximum(cfg, quantity, min_value=0.1)
+            return
+        report = first_maximum(cfg, quantity, min_value=0.1)
+        assert report.kind == kind
+        assert abs(report.tau_star - tau) <= GOLDEN_TOL
+        assert abs(report.value - value) <= 1e-9
+
+    def test_single_candidate_forces_a_retry(self, monkeypatch):
+        # With one candidate per grid point the first search ends at tau 1.73111,
+        # 7e-4 from tau*, where R is 4e-5 above the true maximum: the full row
+        # there has its minimum at a split outside the candidates, so the
+        # certificate fails once, that split joins them, and the second search
+        # ends at the exact maximum.
+        cfg = SweepConfig(6, "011010", tau_end=4.0, tau_step=0.1, quantities=(MEBD,))
+        tau, value, _ = all_splits_first_maximum(cfg, MEBD, min_value=0.1)
+        monkeypatch.setattr(dynamics, "CANDIDATE_SPLITS", 1)
+        calls = kernel_calls(monkeypatch)
+        report = first_maximum(cfg, MEBD, min_value=0.1)
+        assert calls.count((3, 31)) == 3  # candidate rows, a failed and a held certificate
+        assert abs(report.tau_star - tau) <= GOLDEN_TOL
+        assert abs(report.value - value) <= 1e-9
+
+    def test_steps_evaluate_only_candidate_splits(self, monkeypatch):
+        calls = kernel_calls(monkeypatch)
+        first_maximum(SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05, quantities=(MEBD,)))
+        # The grid, the candidate rows at its cell, the certificate rows at a, b, c.
+        assert [c for c in calls if c[1] == 31] == [(61, 31), (3, 31), (3, 31)]
+        steps = [c for c in calls if c[1] != 31]
+        assert len(steps) == 35
+        assert all(t == 1 and m <= 3 * dynamics.CANDIDATE_SPLITS for t, m in steps)
+
+    @pytest.mark.parametrize("n, label, splits", [
+        (3, "010", ("1|2.3", "1.3|2")),
+        # At the smooth N=4 maximum every one-site split is maximally entangled.
+        (4, "1001", ("1|2.3.4", "1.2.3|4", "1.2.4|3", "1.3.4|2")),
+        (6, "100110", ("1|2.3.4.5.6", "1.2.3.4.5|6", "1.2.3.5.6|4")),
+    ])
+    def test_splits_at_the_maximum(self, n, label, splits):
+        cfg = SweepConfig(n, label, tau_end=3.0, tau_step=0.05, quantities=(MEBD,))
+        assert first_maximum(cfg, MEBD).splits == splits
+
+    def test_e1_fixed_names_no_splits(self):
+        cfg = SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05, quantities=(E1_FIXED,))
+        report = first_maximum(cfg, E1_FIXED, min_value=0.1)
+        assert report.kind == "exact" and report.splits == ()
+        assert (report.tau_star, report.value, report.kind) == all_splits_first_maximum(
+            cfg, E1_FIXED, min_value=0.1)
 
 
 class TestSanityTauBound:

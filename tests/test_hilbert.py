@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from mebd.hilbert import (
     partial_transpose,
 )
 
-from conftest import bell_state, pure_density, random_density, w_state
+from conftest import (bell_state, pure_density, random_density, transposed_partial_trace,
+                      w_state)
 
 
 class TestSiteSet:
@@ -114,6 +117,26 @@ class TestPartialTrace:
     def test_empty_keep(self, rng):
         with pytest.raises(ValueError, match="keep at least one site"):
             partial_trace(random_density(rng, 4), SiteSet(2, 0))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_transposed_form_on_every_keep_set(self, rng, n):
+        rho = random_density(rng, 1 << n)
+        for mask in range(1, 1 << n):
+            keep = SiteSet(n, mask)
+            np.testing.assert_allclose(partial_trace(rho, keep),
+                                       transposed_partial_trace(rho, keep), rtol=0, atol=1e-15)
+
+    def test_copies_no_more_than_the_result(self, rng):
+        # The traced sites are summed on a view of rho: the call allocates about
+        # the reduced state, not a second 2^N x 2^N array.
+        rho = random_density(rng, 1 << 7)
+        tracemalloc.start()
+        try:
+            partial_trace(rho, SiteSet.from_sites(7, [2, 5, 7]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rho.nbytes // 4
 
 
 def _reshape_oracle_pt(rho, n, subset_sites):
