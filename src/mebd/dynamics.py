@@ -2,7 +2,7 @@
 
 H conserves the number of excitations, so sector_eigensystem diagonalises
 only its block on the initial state's k-excitation sector, once; amplitudes
-then needs the phase factors e^{-i w tau} and one matrix product per tau array.
+then needs the phase factors e^{-i w tau} and one matrix-vector product per tau.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ MAX_GRID_POINTS = 100_000
 # run_sweep's batches: at most EVOLVE_BATCH points and GATHER_ELEMENTS gathered amplitudes.
 EVOLVE_BATCH = 128
 GATHER_ELEMENTS = 1 << 21
-# first_maximum's golden-section search stops when its bracket is this narrow in tau.
-GOLDEN_TOL = 1e-8
-GOLDEN = (3 - math.sqrt(5)) / 2  # the golden section of an interval, 0.382
+# first_maximum's tau per call: grid points per scan batch and points per refinement round.
+SEARCH_BATCH = 16
+# first_maximum's refinement stops when its bracket is this narrow in tau.
+REFINE_TOL = 1e-8
 # first_maximum's candidates: this many lowest splits at each point of the grid cell.
 CANDIDATE_SPLITS = 4
 
@@ -119,6 +120,7 @@ def amplitudes(w: np.ndarray, v: np.ndarray, c0: np.ndarray, taus) -> np.ndarray
     """psi(tau) = e^{-iH tau} psi(0) for a 1-D array of tau: (T, C(N,k)), one row per tau.
 
     (w, v, c0) come from sector_eigensystem; column j is the amplitude of sector[j].
+    Each row is its own matrix-vector product, bit-equal whatever tau share the call.
     """
     taus = np.asarray(taus)
     if taus.ndim != 1 or taus.dtype.kind not in "iuf":  # no complex, str, bool or object tau
@@ -126,7 +128,7 @@ def amplitudes(w: np.ndarray, v: np.ndarray, c0: np.ndarray, taus) -> np.ndarray
                          f"of shape {taus.shape}")
     if not np.all(np.isfinite(taus)):
         raise ValueError(f"tau must be finite, got {taus[~np.isfinite(taus)][0]}")
-    return np.ascontiguousarray((v @ (np.exp(-1j * np.outer(w, taus)) * c0[:, None])).T)
+    return np.matmul(v, (np.exp(-1j * np.outer(taus, w)) * c0)[:, :, None])[:, :, 0]
 
 
 def _is_one_site(p: Bipartition) -> bool:
@@ -197,44 +199,53 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 
 def first_maximum(cfg: SweepConfig, quantity: str = MEBD,
                   min_value: float = 0.5) -> MaximumReport:
-    """find_first_maximum's grid point, refined on the real curve by golden-section search.
+    """find_first_maximum's grid point, refined on the real curve in rounds of SEARCH_BATCH tau.
 
-    The search narrows the cell [tau - step, tau + step] to GOLDEN_TOL, one single-tau
-    evaluation per step, so a kink, where the minimising split changes, comes out exact.
-    mebd and e_tilde, minima over pure splits, are searched on R >= the curve, the
-    minimum over candidates: the CANDIDATE_SPLITS lowest at each grid point of the cell.
-    The full rows at the final bracket a < b < c certify b: if b's has its minimum at a
-    candidate, curve(b) = R(b) >= max R >= max curve; else that split joins the
-    candidates and the search reruns.  Their splits at the minimum are the report's
-    splits.  e1_fixed keeps its whole split set.  The grid point stays if the search
-    finds no higher value.  Only quantity is evaluated if cfg has it (else the scan
-    reports it missing).
+    The grid is scanned SEARCH_BATCH points per call up to the batch holding the first
+    qualifying maximum.  Rounds keep the maximum in [b - h, b + h], from the grid point b
+    and h = step: each divides h by SEARCH_BATCH / 2 + 1, evaluates b + h * (+-1 ..
+    +-SEARCH_BATCH / 2) in one call and moves b to the best point if strictly higher,
+    until 2h <= REFINE_TOL (a kink comes out exact).  mebd and e_tilde are searched on
+    R >= the curve, the minimum over candidates: the CANDIDATE_SPLITS lowest splits at
+    each grid point of the cell.  The full rows at b - h, b, b + h certify b: if b's has
+    its minimum at a candidate, curve(b) = R(b) >= max R >= max curve; else that split
+    joins the candidates and the search reruns.  Their minimising splits are the report's
+    splits; e1_fixed keeps every split.  The grid point stays if the search finds nothing
+    higher.  Only quantity is evaluated if cfg has it (else the scan reports it missing).
     """
     cfg = replace(cfg, quantities=(quantity,)) if quantity in cfg.quantities else cfg
     evaluate, rows = _sweep_evaluator(cfg)
-    grid = find_first_maximum(evaluate(cfg.grid()), quantity, min_value)
-    cell = grid.tau_star + cfg.tau_step * np.array([-1.0, 0.0, 1.0])
+    taus, series = cfg.grid(), []
+    for lo in range(0, len(taus), SEARCH_BATCH):  # the last two points are still open
+        series = series[-2:] + evaluate(taus[lo:lo + SEARCH_BATCH])
+        try:
+            grid = find_first_maximum(series, quantity, min_value)
+            break
+        except NoMaximumFound:
+            if lo + SEARCH_BATCH >= len(taus):
+                raise
+    half = SEARCH_BATCH // 2
+    offsets, ends = np.r_[-half:0, 1:half + 1], np.array([-1.0, 0.0, 1.0])
     masks = [p.part_a.mask for p in entanglement.enumerate_bipartitions(cfg.n_sites)
              if quantity == MEBD or (quantity == E_TILDE and _is_one_site(p))]
-    cand = sorted(set(np.argsort(rows(cell, masks), kind="stable")[:, :CANDIDATE_SPLITS].flat)
-                  if masks else [])
-    (a, b, c), fb, low = cell, grid.value, np.zeros((3, 0), dtype=bool)
-    while True:  # a < b < c and R(b) = fb is the highest value seen
-        if c - a > GOLDEN_TOL:
-            x = b + GOLDEN * (c - b) if c - b > b - a else b - GOLDEN * (b - a)
-            fx = (rows([x], [masks[j] for j in cand]).min() if masks
-                  else evaluate(np.array([x]))[0].values[quantity])
-            if fx > fb:
-                a, b, c, fb = (b, x, c, fx) if x > b else (a, x, b, fx)
-            else:
-                a, c = (a, x) if x > b else (x, c)
-        elif masks:  # the certificate: one full row at each of a, b and c
-            final = rows([a, b, c], masks)
+    cand = sorted(set(np.argsort(rows(grid.tau_star + cfg.tau_step * ends, masks),
+                                 kind="stable")[:, :CANDIDATE_SPLITS].flat) if masks else [])
+    b, fb, h, low = grid.tau_star, grid.value, cfg.tau_step, np.zeros((3, 0), dtype=bool)
+    while True:  # the maximum of R lies in [b - h, b + h], and R(b) = fb is the highest seen
+        if 2 * h > REFINE_TOL:
+            h /= half + 1
+            x = b + h * offsets
+            fx = (rows(x, [masks[j] for j in cand]).min(axis=1) if masks
+                  else np.array([r.values[quantity] for r in evaluate(x)]))
+            if fx.max() > fb:
+                b, fb = x[fx.argmax()], fx.max()
+        elif masks:  # the certificate: one full row at each of b - h, b and b + h
+            final = rows(b + h * ends, masks)
             low = final == final.min(axis=1, keepdims=True)
             if low[1, cand].any():
                 break
             cand = sorted(cand + [int(final[1].argmin())])
-            (a, b, c), fb = cell, grid.value
+            b, fb, h = grid.tau_star, grid.value, cfg.tau_step
         else:
             break
     splits = tuple(Bipartition.from_masks(cfg.n_sites, m).label()

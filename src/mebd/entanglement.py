@@ -206,7 +206,7 @@ def pure_negativities(amps: np.ndarray, n_sites: int, k: int, masks: Iterable[in
 
     |psi><psi|^{T_A} has the negative eigenvalues -s_i s_j (i < j) of the
     Schmidt values s_i (Vidal and Werner, PRA 65, 032314, 2002); products below
-    ZERO_EIGENVALUE_TOL are dropped, as in negative_sum, so product states give
+    ZERO_EIGENVALUE_TOL are dropped, as for mixed states, so product states give
     0.0.  One batched svd per block shape of _schmidt_plan (a norm for r x 1
     blocks) serves all splits and all T states, T * len(masks) * C(N,k)
     gathered amplitudes, so the caller bounds T; the result is (T, len(masks)).

@@ -32,17 +32,11 @@ def check_hermitian(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def negative_sum(m: np.ndarray) -> float:
-    """2 |sum of negative eigenvalues| of a Hermitian matrix.
+def negative_sum_of_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """2 |sum of negative eigenvalues| of real spectra along the last axis.
 
     Eigenvalues with |w| < ZERO_EIGENVALUE_TOL are treated as exact zeros so
     that separable states do not register spurious entanglement.
     """
-    a = check_hermitian(m)
-    return float(negative_sum_of_eigenvalues(np.linalg.eigvalsh(a)))
-
-
-def negative_sum_of_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """Same contract as negative_sum, applied to precomputed real spectra along the last axis."""
     # 0.0 - keeps a sum with no negative eigenvalue at +0.0, not -0.0.
     return 0.0 - 2.0 * np.add.reduce(w, axis=-1, where=w < -ZERO_EIGENVALUE_TOL)

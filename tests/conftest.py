@@ -126,29 +126,38 @@ def transposed_partial_trace(rho, keep):
 
 
 def all_splits_first_maximum(cfg, quantity=dynamics.MEBD, min_value=0.5):
-    """Oracle of dynamics.first_maximum: golden-section search with every split at each step.
+    """Oracle of dynamics.first_maximum: its refinement rounds with every split at each point.
 
-    The search that first_maximum made before it searched candidate splits: each
-    step evaluates the whole curve at one tau; returns (tau*, value, kind).
+    The whole grid is scanned, then each round evaluates the whole curve at
+    b + h * (+-1 .. +-SEARCH_BATCH / 2), h divided by SEARCH_BATCH / 2 + 1 per round,
+    down to REFINE_TOL; no candidates and no certificate.  Returns (tau*, value, kind).
     """
     cfg = replace(cfg, quantities=(quantity,))
     evaluate = dynamics._sweep_evaluator(cfg)[0]
     grid = dynamics.find_first_maximum(evaluate(cfg.grid()), quantity, min_value)
-    b, fb = grid.tau_star, grid.value
-    a, c = b - cfg.tau_step, b + cfg.tau_step
-    while c - a > dynamics.GOLDEN_TOL:
-        x = b + dynamics.GOLDEN * (c - b) if c - b > b - a else b - dynamics.GOLDEN * (b - a)
-        fx = evaluate(np.array([x]))[0].values[quantity]
-        if fx > fb:
-            a, b, c, fb = (b, x, c, fx) if x > b else (a, x, b, fx)
-        else:
-            a, c = (a, x) if x > b else (x, c)
+    half = dynamics.SEARCH_BATCH // 2
+    b, fb, h = grid.tau_star, grid.value, cfg.tau_step
+    while 2 * h > dynamics.REFINE_TOL:
+        h /= half + 1
+        x = b + h * np.r_[-half:0, 1:half + 1]
+        fx = np.array([r.values[quantity] for r in evaluate(x)])
+        if fx.max() > fb:
+            b, fb = x[fx.argmax()], fx.max()
     return (b, fb, "exact") if fb > grid.value else (grid.tau_star, grid.value, grid.kind)
+
+
+def negative_sum(m):
+    """Dense oracle: 2 |sum of negative eigenvalues| of one Hermitian matrix.
+
+    The package solves partial transposes block by block; this is the full
+    eigensolve they are checked against, with the same ZERO_EIGENVALUE_TOL drop.
+    """
+    return float(linalg.negative_sum_of_eigenvalues(np.linalg.eigvalsh(linalg.check_hermitian(m))))
 
 
 def dense_negativity(rho, p):
     """Dense oracle of the double negativity: the full eigensolve of rho^{T_A}."""
-    return linalg.negative_sum(partial_transpose(rho, p.part_a))
+    return negative_sum(partial_transpose(rho, p.part_a))
 
 
 def dense_lower_estimate_1(rho, j):

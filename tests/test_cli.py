@@ -345,6 +345,22 @@ class TestTable1Command:
             assert abs(row["value"] - value) < 1e-6
             assert row["value"] <= 1 + 1e-12
 
+    def test_rows_match_the_single_tau_search(self, capsys):
+        # tau* and E* (float.hex) from golden-section steps of one tau per call;
+        # the rounds of 16 tau end in the same 1e-8 bracket of the same maxima.
+        previous = {3: ("0x1.815758994a5aep+0", "0x1.e2b7ddddadd83p-1"),
+                    4: ("0x1.d19f25d77bbf8p+0", "0x1.ffffffffffffep-1"),
+                    6: ("0x1.0e232da829b66p+1", "0x1.fbdfbd25c94f7p-1"),
+                    8: ("0x1.18ae1567c19aep+1", "0x1.fa0e593ef0153p-1")}
+        code, out, _ = run_cli(capsys, "table1", "--json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["n_sites"] for row in rows] == [3, 4, 6, 8]
+        for row in rows:
+            tau, value = map(float.fromhex, previous[row["n_sites"]])
+            assert abs(row["tau_star"] - tau) <= 5e-8
+            assert abs(row["value"] - value) <= 1e-9
+
     def test_bad_n(self, capsys, tmp_path):
         # An empty list is not the default list, and a row is asked for once.
         cfg = tmp_path / "c.json"
@@ -514,7 +530,7 @@ def test_readme_names_resolve():
 
 # An N=6 sweep with e1_fixed and an N=6 ladder both reach the mixed-state
 # kernel through reduced states; the negativity query takes the pure one, and
-# first-max its golden-section search, one single-tau evaluation per step.
+# first-max its grid scan in batches and refinement rounds of SEARCH_BATCH tau.
 # Every number is printed with repr, so equal output means equal floats.
 THREAD_WORKLOAD = """
 import numpy as np
@@ -547,6 +563,6 @@ def test_output_independent_of_blas_thread_count():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     # Header and four sweep rows, the ladder, the generic-state MEBD table and
-    # ladder, the query, the twelve-line first-max JSON (three splits).
-    assert len(outputs[0].splitlines()) == 21
+    # ladder, the query, the thirteen-line first-max JSON (four splits).
+    assert len(outputs[0].splitlines()) == 22
     assert outputs[0] == outputs[1]

@@ -9,7 +9,7 @@ from mebd import dynamics, entanglement
 from mebd.dynamics import (
     EVOLVE_BATCH,
     GATHER_ELEMENTS,
-    GOLDEN_TOL,
+    REFINE_TOL,
     MEBD,
     E1_FIXED,
     E_TILDE,
@@ -143,6 +143,15 @@ class TestEvolve:
         _, w, v, c0 = sector_eigensystem(3, "010")
         with pytest.raises(ValueError, match="real numbers"):
             amplitudes(w, v, c0, taus)
+
+    @pytest.mark.parametrize("n, label", [(3, "010"), (8, "10011001"), (12, "100110011001")])
+    def test_rows_do_not_depend_on_the_batch(self, n, label):
+        # One matrix-vector product per tau: a tau's row has the same bits
+        # whichever other tau share the call.
+        _, w, v, c0 = sector_eigensystem(n, label)
+        taus = np.linspace(0.1, 2.9, 7)
+        assert np.array_equal(amplitudes(w, v, c0, taus),
+                              [amplitudes(w, v, c0, [t])[0] for t in taus])
 
     def test_one_row_per_tau_on_the_sector(self):
         # Column j is the amplitude of sector[j]; an empty tau array gives no rows.
@@ -287,6 +296,22 @@ class TestRunSweep:
             assert len(per_partition) == 7
             for p, value in per_partition.items():
                 assert abs(got[f"p_{p.label()}"] - value) < 1e-12
+
+    @pytest.mark.parametrize("n, label", [(3, "010"), (6, "100110"), (8, "10011001")])
+    def test_records_do_not_depend_on_the_batch(self, monkeypatch, n, label):
+        # Batches of 128, 1 and 7 points, and of 5 through GATHER_ELEMENTS, give
+        # the same bits for every quantity on the 23-point grid.
+        cfg = SweepConfig(n, label, tau_end=2.2, tau_step=0.1,
+                          quantities=(MEBD, E1_FIXED, E_TILDE, PER_PARTITION))
+        records = []
+        for batch in (128, 1, 7):
+            monkeypatch.setattr(dynamics, "EVOLVE_BATCH", batch)
+            records.append(run_sweep(cfg))
+        per_tau = (2 ** (n - 1) - 1) * math.comb(n, label.count("1"))  # gathered amplitudes
+        monkeypatch.setattr(dynamics, "GATHER_ELEMENTS", 5 * per_tau)
+        records.append(run_sweep(cfg))
+        assert len(records[0]) == 23
+        assert all(r == records[0] for r in records[1:])
 
     def test_batch_rule_bounds_kernel_inputs(self, monkeypatch):
         # run_sweep alone sizes the batches the kernels get: at most
@@ -472,6 +497,31 @@ class TestFirstMaximum:
         assert report == first_maximum(SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05,
                                                    quantities=(MEBD,)), MEBD)
 
+    def test_scan_stops_at_the_first_maximum(self, monkeypatch):
+        # tau* = 2.1 is grid point 42 of 61; its right neighbour is in the third
+        # batch of 16, so the scan ends there.  Without a qualifying maximum the
+        # whole grid is scanned; a missing quantity fails on the first batch.
+        scanned, prepare = [], dynamics._sweep_evaluator
+
+        def watched(cfg):
+            evaluate, rows = prepare(cfg)
+            return (lambda taus: scanned.append(taus) or evaluate(taus)), rows
+
+        monkeypatch.setattr(dynamics, "_sweep_evaluator", watched)
+        cfg = SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05, quantities=(MEBD,))
+        assert first_maximum(cfg, MEBD).kind == "exact"
+        assert [len(taus) for taus in scanned] == [16, 16, 16]
+        assert np.array_equal(np.concatenate(scanned), cfg.grid()[:48])
+        scanned.clear()
+        with pytest.raises(NoMaximumFound):
+            first_maximum(cfg, MEBD, min_value=2.0)
+        assert np.array_equal(np.concatenate(scanned), cfg.grid())
+        scanned.clear()
+        with pytest.raises(ValueError, match="'e_tilde' is not in the series") as exc:
+            first_maximum(cfg, E_TILDE)
+        assert not isinstance(exc.value, NoMaximumFound)
+        assert [len(taus) for taus in scanned] == [16]
+
     def test_scan_checks_kept(self):
         cfg = SweepConfig(3, "010", tau_end=3.0, tau_step=0.05, quantities=(MEBD,))
         with pytest.raises(ValueError, match="min_value") as exc:
@@ -509,7 +559,7 @@ class TestCertifiedSearch:
             return
         report = first_maximum(cfg, quantity, min_value=0.1)
         assert report.kind == kind
-        assert abs(report.tau_star - tau) <= GOLDEN_TOL
+        assert abs(report.tau_star - tau) <= REFINE_TOL
         assert abs(report.value - value) <= 1e-9
 
     def test_single_candidate_forces_a_retry(self, monkeypatch):
@@ -524,23 +574,28 @@ class TestCertifiedSearch:
         calls = kernel_calls(monkeypatch)
         report = first_maximum(cfg, MEBD, min_value=0.1)
         assert calls.count((3, 31)) == 3  # candidate rows, a failed and a held certificate
-        assert abs(report.tau_star - tau) <= GOLDEN_TOL
+        assert abs(report.tau_star - tau) <= REFINE_TOL
         assert abs(report.value - value) <= 1e-9
 
     def test_steps_evaluate_only_candidate_splits(self, monkeypatch):
         calls = kernel_calls(monkeypatch)
         first_maximum(SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05, quantities=(MEBD,)))
-        # The grid, the candidate rows at its cell, the certificate rows at a, b, c.
-        assert [c for c in calls if c[1] == 31] == [(61, 31), (3, 31), (3, 31)]
-        steps = [c for c in calls if c[1] != 31]
-        assert len(steps) == 35
-        assert all(t == 1 and m <= 3 * dynamics.CANDIDATE_SPLITS for t, m in steps)
+        # Three grid batches up to the maximum at tau 2.1 (point 42), the candidate
+        # rows at its cell, the certificate rows at b - h, b, b + h; 13 calls in all.
+        assert len(calls) == 13
+        assert [c for c in calls if c[1] == 31] == [(16, 31)] * 3 + [(3, 31), (3, 31)]
+        rounds = [c for c in calls if c[1] != 31]
+        assert len(rounds) == 8
+        assert all(t == dynamics.SEARCH_BATCH and m <= 3 * dynamics.CANDIDATE_SPLITS
+                   for t, m in rounds)
 
     @pytest.mark.parametrize("n, label, splits", [
         (3, "010", ("1|2.3", "1.3|2")),
         # At the smooth N=4 maximum every one-site split is maximally entangled.
         (4, "1001", ("1|2.3.4", "1.2.3|4", "1.2.4|3", "1.3.4|2")),
-        (6, "100110", ("1|2.3.4.5.6", "1.2.3.4.5|6", "1.2.3.5.6|4")),
+        # 100110 is symmetric under reflection with a global spin flip, so its
+        # partner splits 1|rest and 6|rest, 3|rest and 4|rest, tie at tau*.
+        (6, "100110", ("1|2.3.4.5.6", "1.2.3.4.5|6", "1.2.3.5.6|4", "1.2.4.5.6|3")),
     ])
     def test_splits_at_the_maximum(self, n, label, splits):
         cfg = SweepConfig(n, label, tau_end=3.0, tau_step=0.05, quantities=(MEBD,))

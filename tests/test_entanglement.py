@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mebd import entanglement, linalg
+from mebd import entanglement
 from mebd.entanglement import (
     double_negativity,
     enumerate_bipartitions,
@@ -33,6 +33,7 @@ from conftest import (
     dense_negativity,
     evolve_full,
     ghz_state,
+    negative_sum,
     pure_density,
     random_density,
     random_pure_state,
@@ -137,7 +138,6 @@ class TestDoubleNegativity:
         # only, so a sector state with a 1e-14 pair between excitation numbers
         # is generic too.
         calls = one_block_solves
-        dense = linalg.negative_sum
         generic = pure_density(random_pure_state(rng, 8))
         leaky = pure_density(random_sector_state(rng, 5, 2))
         leaky[3, 7] += 1e-14  # |00011> and |00111>: 2 and 3 excitations
@@ -146,7 +146,7 @@ class TestDoubleNegativity:
             calls.clear()
             value = double_negativity(rho, p)
             assert calls
-            assert value == dense(partial_transpose(rho, p.part_a))
+            assert value == negative_sum(partial_transpose(rho, p.part_a))
 
     def test_sector_states_skip_dense_fallback(self, rng, one_block_solves):
         # A sector state, and each of its reduced states, is solved block by block.
@@ -165,7 +165,7 @@ class TestDoubleNegativity:
         masks = [p.part_a.mask for p in enumerate_bipartitions(4)]
         got = entanglement._negativities(rhos, masks)
         assert one_block_solves == [(3, len(masks), 16, 16)]
-        expected = [[linalg.negative_sum(partial_transpose(rho, SiteSet(4, mask)))
+        expected = [[negative_sum(partial_transpose(rho, SiteSet(4, mask)))
                      for mask in masks] for rho in rhos]
         assert got.tolist() == expected
 

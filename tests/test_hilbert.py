@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mebd import linalg
 from mebd.hilbert import (
     Bipartition,
     SiteSet,
@@ -13,8 +12,8 @@ from mebd.hilbert import (
     partial_transpose,
 )
 
-from conftest import (bell_state, pure_density, random_density, transposed_partial_trace,
-                      w_state)
+from conftest import (bell_state, negative_sum, pure_density, random_density,
+                      transposed_partial_trace, w_state)
 
 
 class TestSiteSet:
@@ -202,7 +201,7 @@ class TestPartialTranspose:
         # pure product across the split -> no negative eigenvalues
         rho = pure_density("01")
         pt = partial_transpose(rho, SiteSet.from_sites(2, [1]))
-        assert linalg.negative_sum(pt) < 1e-9
+        assert negative_sum(pt) < 1e-9
 
 
 class TestExcitationSector:
