@@ -17,7 +17,7 @@ from .hilbert import MAX_SITES, Bipartition, SiteSet, basis_index, excitation_se
 from .model import CouplingKind, build_hdz
 
 MAX_GRID_POINTS = 100_000
-# run_sweep's batches: at most EVOLVE_BATCH points and GATHER_ELEMENTS gathered amplitudes.
+# One pure_negativities call: at most EVOLVE_BATCH tau and GATHER_ELEMENTS gathered amplitudes.
 EVOLVE_BATCH = 128
 GATHER_ELEMENTS = 1 << 21
 # first_maximum's tau per call: grid points per scan batch and points per refinement round.
@@ -131,49 +131,51 @@ def amplitudes(w: np.ndarray, v: np.ndarray, c0: np.ndarray, taus) -> np.ndarray
     return np.matmul(v, (np.exp(-1j * np.outer(taus, w)) * c0)[:, :, None])[:, :, 0]
 
 
-def _is_one_site(p: Bipartition) -> bool:
-    return p.part_a.size() == 1 or p.part_b.size() == 1
-
-
 def _sweep_evaluator(cfg: SweepConfig):
-    """Prepare cfg once; return evaluate(taus), the records of any 1-D tau array, and
-    rows(taus, masks), the (T, len(masks)) pure-split negativities of psi(tau).
+    """Prepare cfg once: (evaluate, rows, masks), the one rule for which splits a run reads
+    and how many tau one pure_negativities call takes.
 
-    psi(tau) is pure and stays on its excitation sector, so each batch fills a table of
-    Schmidt-kernel negativities, one row per tau and one column per split that a quantity
-    reads, in one pure_negativities call.  Only e1_fixed needs mixed states: the rows of
-    _split_table for its parts P, on rho_P = M_P M_P^dagger (M_P the Schmidt matrix of
-    P|rest), T of up to 2^16 / d^2 states per part, d the larger part's dimension (parts
-    of one size share one stack).  That bound, EVOLVE_BATCH and GATHER_ELEMENTS size
-    every batch.
+    masks holds A's site mask (site 1 in A, enumerate_bipartitions' order) for each split
+    a quantity reads; evaluate(taus) gives the records of a 1-D tau array, rows(taus, cols)
+    the (T, len(cols)) Schmidt-kernel negativities of psi(tau), pure on its sector.  Only
+    e1_fixed needs mixed states: the rows of _split_table for its parts P, on rho_P = M_P
+    M_P^dagger (M_P the Schmidt matrix of P|rest), parts of one size in one stack.  A call
+    takes at most EVOLVE_BATCH tau, GATHER_ELEMENTS amplitudes gathered for its splits
+    and, with e1_fixed, 2^16 / d^2 tau, d the dimension of the fixed split's larger part.
     """
     q = cfg.quantities
     n, k = cfg.n_sites, cfg.initial_label.count("1")
     fixed = cfg.fixed_bipartition or default_fixed_bipartition(n)
     fixed_mask = fixed.part_a.mask if fixed.part_a.mask & 1 else fixed.part_b.mask
-    splits = [p for p in entanglement.enumerate_bipartitions(n)
-              if MEBD in q or PER_PARTITION in q or (E_TILDE in q and _is_one_site(p))
-              or (E1_FIXED in q and p.part_a.mask == fixed_mask)]
-    one_site = [j for j, p in enumerate(splits) if _is_one_site(p)]
-    fixed_col = next((j for j, p in enumerate(splits) if p.part_a.mask == fixed_mask), None)
+    masks = [m for m in range(1, (1 << n) - 1, 2)
+             if MEBD in q or PER_PARTITION in q or (E_TILDE in q and m.bit_count() in (1, n - 1))
+             or (E1_FIXED in q and m == fixed_mask)]
+    one_site = [j for j, m in enumerate(masks) if m.bit_count() in (1, n - 1)]
+    keys = ([f"p_{Bipartition.from_masks(n, m).label()}" for m in masks]
+            if PER_PARTITION in q else [])
     sector, w, v, c0 = sector_eigensystem(n, cfg.initial_label, cfg.profile)
-    parts = [p.mask for p in (fixed.part_a, fixed.part_b) if p.size() >= 2]  # have splits
-    larger = max(fixed.part_a.size(), fixed.part_b.size()) if E1_FIXED in q else 0
-    batch = max(1, min(EVOLVE_BATCH, GATHER_ELEMENTS // (len(splits) * len(sector)),
-                       (1 << 16) >> 2 * larger))
+    size = fixed_mask.bit_count()
+    parts = [m for m in (fixed_mask, fixed_mask ^ ((1 << n) - 1)) if m.bit_count() >= 2]
+    larger = max(size, n - size) if E1_FIXED in q else 0
+
+    def chunks(taus: np.ndarray, cols: list[int]):  # (tau, amplitudes, table) per call
+        batch = max(1, min(EVOLVE_BATCH, GATHER_ELEMENTS // (len(cols) * len(sector)),
+                           (1 << 16) >> 2 * larger))
+        for lo in range(0, len(taus), batch):
+            amps = amplitudes(w, v, c0, taus[lo:lo + batch])
+            yield taus[lo:lo + batch], amps, entanglement.pure_negativities(amps, n, k, cols)
 
     def evaluate(taus: np.ndarray) -> list[SweepRecord]:
         records = []
-        for chunk in np.split(taus, range(batch, len(taus), batch)):
-            amps = amplitudes(w, v, c0, chunk)
-            table = entanglement.pure_negativities(amps, n, k, [p.part_a.mask for p in splits])
+        for chunk, amps, table in chunks(taus, masks):
             if E1_FIXED in q:
                 psi = np.zeros((len(amps), 1 << n), dtype=np.complex128)
                 psi[:, sector] = amps
                 ms = {s: psi[:, entanglement._schmidt_index(n, s)] for s in parts}
-                rows = entanglement._split_table(n, parts, lambda group: np.array(
+                sub = entanglement._split_table(n, parts, lambda group: np.array(
                     [ms[s] @ ms[s].conj().swapaxes(1, 2) for s in group])).values()
-                e1 = np.min([table[:, fixed_col], *(c for r in rows for c in r.values())], axis=0)
+                e1 = np.min([table[:, masks.index(fixed_mask)],
+                             *(c for r in sub for c in r.values())], axis=0)
             for t, (tau, row) in enumerate(zip(chunk, table)):
                 values: dict[str, float] = {}
                 if MEBD in q:
@@ -182,14 +184,12 @@ def _sweep_evaluator(cfg: SweepConfig):
                     values[E1_FIXED] = float(e1[t])
                 if E_TILDE in q:
                     values[E_TILDE] = float(row[one_site].min())
-                if PER_PARTITION in q:
-                    for p, neg in zip(splits, row):
-                        values[f"p_{p.label()}"] = float(neg)
+                values.update(zip(keys, map(float, row)))
                 records.append(SweepRecord(tau=float(tau), values=values))
         return records
 
-    return evaluate, lambda taus, masks: entanglement.pure_negativities(
-        amplitudes(w, v, c0, taus), n, k, masks)
+    return evaluate, (lambda taus, cols=masks: np.concatenate(
+        [table for _, _, table in chunks(taus, cols)])), masks
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
@@ -201,10 +201,10 @@ def first_maximum(cfg: SweepConfig, quantity: str = MEBD,
                   min_value: float = 0.5) -> MaximumReport:
     """find_first_maximum's grid point, refined on the real curve in rounds of SEARCH_BATCH tau.
 
-    The grid is scanned SEARCH_BATCH points per call up to the batch holding the first
+    The grid is scanned SEARCH_BATCH points at a time up to the batch holding the first
     qualifying maximum.  Rounds keep the maximum in [b - h, b + h], from the grid point b
     and h = step: each divides h by SEARCH_BATCH / 2 + 1, evaluates b + h * (+-1 ..
-    +-SEARCH_BATCH / 2) in one call and moves b to the best point if strictly higher,
+    +-SEARCH_BATCH / 2) together and moves b to the best point if strictly higher,
     until 2h <= REFINE_TOL (a kink comes out exact).  mebd and e_tilde are searched on
     R >= the curve, the minimum over candidates: the CANDIDATE_SPLITS lowest splits at
     each grid point of the cell.  The full rows at b - h, b, b + h certify b: if b's has
@@ -214,7 +214,8 @@ def first_maximum(cfg: SweepConfig, quantity: str = MEBD,
     higher.  Only quantity is evaluated if cfg has it (else the scan reports it missing).
     """
     cfg = replace(cfg, quantities=(quantity,)) if quantity in cfg.quantities else cfg
-    evaluate, rows = _sweep_evaluator(cfg)
+    evaluate, rows, masks = _sweep_evaluator(cfg)
+    masks = masks if quantity in (MEBD, E_TILDE) else []  # e1_fixed is searched on its curve
     taus, series = cfg.grid(), []
     for lo in range(0, len(taus), SEARCH_BATCH):  # the last two points are still open
         series = series[-2:] + evaluate(taus[lo:lo + SEARCH_BATCH])
@@ -226,9 +227,7 @@ def first_maximum(cfg: SweepConfig, quantity: str = MEBD,
                 raise
     half = SEARCH_BATCH // 2
     offsets, ends = np.r_[-half:0, 1:half + 1], np.array([-1.0, 0.0, 1.0])
-    masks = [p.part_a.mask for p in entanglement.enumerate_bipartitions(cfg.n_sites)
-             if quantity == MEBD or (quantity == E_TILDE and _is_one_site(p))]
-    cand = sorted(set(np.argsort(rows(grid.tau_star + cfg.tau_step * ends, masks),
+    cand = sorted(set(np.argsort(rows(grid.tau_star + cfg.tau_step * ends),
                                  kind="stable")[:, :CANDIDATE_SPLITS].flat) if masks else [])
     b, fb, h, low = grid.tau_star, grid.value, cfg.tau_step, np.zeros((3, 0), dtype=bool)
     while True:  # the maximum of R lies in [b - h, b + h], and R(b) = fb is the highest seen
@@ -240,7 +239,7 @@ def first_maximum(cfg: SweepConfig, quantity: str = MEBD,
             if fx.max() > fb:
                 b, fb = x[fx.argmax()], fx.max()
         elif masks:  # the certificate: one full row at each of b - h, b and b + h
-            final = rows(b + h * ends, masks)
+            final = rows(b + h * ends)
             low = final == final.min(axis=1, keepdims=True)
             if low[1, cand].any():
                 break

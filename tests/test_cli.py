@@ -528,6 +528,19 @@ def test_readme_names_resolve():
     assert not missing
 
 
+def test_benchmark_entry_points_exist():
+    """The names the benchmark under perfbench/ calls, and the re-export its selftest
+    patches through entanglement.  This test falls away when ROADMAP item 1 repoints
+    the benchmark at lower_estimates and partial_trace.
+    """
+    from mebd import dynamics, entanglement, hilbert
+
+    for entry in (cli.main, dynamics.SweepConfig, dynamics.run_sweep,
+                  entanglement.lower_estimate_level, entanglement.max_level):
+        assert callable(entry)
+    assert entanglement.partial_transpose is hilbert.partial_transpose
+
+
 # An N=6 sweep with e1_fixed and an N=6 ladder both reach the mixed-state
 # kernel through reduced states; the negativity query takes the pure one, and
 # first-max its grid scan in batches and refinement rounds of SEARCH_BATCH tau.

@@ -314,7 +314,7 @@ class TestRunSweep:
         assert all(r == records[0] for r in records[1:])
 
     def test_batch_rule_bounds_kernel_inputs(self, monkeypatch):
-        # run_sweep alone sizes the batches the kernels get: at most
+        # The sweep's batch rule sizes what the kernels get: at most
         # GATHER_ELEMENTS amplitudes per Schmidt gather (511 splits x 252
         # amplitudes allow 16 points at N=10) and at most 2^16 entries per
         # mixed stack (4 states of 2^7 x 2^7 for the 7-site part of 1|2..8).
@@ -344,6 +344,19 @@ class TestRunSweep:
         assert len(run_sweep(cfg)) == 10
         assert len(gathers) == len(stacks) == 3 and max(gathers) <= GATHER_ELEMENTS
         assert max(stacks) <= 1 << 16
+
+    @pytest.mark.parametrize("quantity", [MEBD, E_TILDE, E1_FIXED])
+    def test_batch_rule_bounds_first_maximum(self, monkeypatch, quantity):
+        # first_maximum's scan, candidate rows, rounds and certificate take the
+        # same rule: with GATHER_ELEMENTS at 1000 no call gathers more (a full
+        # N=6 row is 31 splits x 20 amplitudes, so the three-tau candidate and
+        # certificate rows take one tau per call), and the report is unchanged.
+        cfg = SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05)
+        expected = first_maximum(cfg, quantity, min_value=0.1)
+        calls = kernel_calls(monkeypatch)
+        monkeypatch.setattr(dynamics, "GATHER_ELEMENTS", 1000)
+        assert first_maximum(cfg, quantity, min_value=0.1) == expected
+        assert max(t * m for t, m in calls) * math.comb(6, 3) <= 1000
 
     @pytest.mark.parametrize("sites_a, batch", [((1, 2), EVOLVE_BATCH), ((1,), 16)])
     def test_e1_fixed_batches_match_lower_estimate_1(self, monkeypatch, sites_a, batch):
@@ -504,8 +517,8 @@ class TestFirstMaximum:
         scanned, prepare = [], dynamics._sweep_evaluator
 
         def watched(cfg):
-            evaluate, rows = prepare(cfg)
-            return (lambda taus: scanned.append(taus) or evaluate(taus)), rows
+            evaluate, rows, masks = prepare(cfg)
+            return (lambda taus: scanned.append(taus) or evaluate(taus)), rows, masks
 
         monkeypatch.setattr(dynamics, "_sweep_evaluator", watched)
         cfg = SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05, quantities=(MEBD,))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mebd import entanglement
+from mebd import entanglement, linalg
 from mebd.entanglement import (
     double_negativity,
     enumerate_bipartitions,
@@ -168,6 +168,22 @@ class TestDoubleNegativity:
         expected = [[negative_sum(partial_transpose(rho, SiteSet(4, mask)))
                      for mask in masks] for rho in rhos]
         assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("ab", [2e-12, 1.2e-12, 8e-13, 5e-13])
+def test_drop_contract_at_its_threshold(ab):
+    # a|01> + b|10> (b = 1, normalised to the last bit) has Schmidt values a and b,
+    # so rho^{T_A} has the one negative eigenvalue -ab: above ZERO_EIGENVALUE_TOL
+    # (1e-12) all three kernels give 2ab, below it exactly 0.0.
+    a, b = ab, 1.0
+    psi = np.array([0.0, a, b, 0.0])
+    got = [pure_negativities([[a, b]], 2, 1, [1])[0, 0],
+           pure_double_negativity(psi[None], split(2, [1]))[0],
+           double_negativity(pure_density(psi), split(2, [1]))]
+    if ab > linalg.ZERO_EIGENVALUE_TOL:
+        assert got == [pytest.approx(2 * a * b, rel=1e-12)] * 3
+    else:
+        assert got == [0.0] * 3
 
 
 def _product_state(rng, n):
