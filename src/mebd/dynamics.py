@@ -154,9 +154,8 @@ def _sweep_evaluator(cfg: SweepConfig):
     keys = ([f"p_{Bipartition.from_masks(n, m).label()}" for m in masks]
             if PER_PARTITION in q else [])
     sector, w, v, c0 = sector_eigensystem(n, cfg.initial_label, cfg.profile)
-    size = fixed_mask.bit_count()
     parts = [m for m in (fixed_mask, fixed_mask ^ ((1 << n) - 1)) if m.bit_count() >= 2]
-    larger = max(size, n - size) if E1_FIXED in q else 0
+    larger = max(fixed_mask.bit_count(), n - fixed_mask.bit_count()) if E1_FIXED in q else 0
 
     def chunks(taus: np.ndarray, cols: list[int]):  # (tau, amplitudes, table) per call
         batch = max(1, min(EVOLVE_BATCH, GATHER_ELEMENTS // (len(cols) * len(sector)),
