@@ -97,7 +97,7 @@ class MaximumReport:
     tau_star: float
     value: float
     kind: str  # "grid-point" (find_first_maximum) or "exact" (first_maximum)
-    splits: tuple[str, ...] = ()  # an exact mebd or e_tilde maximum's minimising splits
+    splits: tuple[str, ...] = ()  # an exact maximum's minimising columns, 'A|S-A' each
 
 
 def sector_eigensystem(n_sites: int, initial_label: str,
@@ -131,64 +131,80 @@ def amplitudes(w: np.ndarray, v: np.ndarray, c0: np.ndarray, taus) -> np.ndarray
     return np.matmul(v, (np.exp(-1j * np.outer(taus, w)) * c0)[:, :, None])[:, :, 0]
 
 
-def _sweep_evaluator(cfg: SweepConfig):
-    """Prepare cfg once: (evaluate, rows, masks), the one rule for which splits a run reads
-    and how many tau one pure_negativities call takes.
+def _column_label(n_sites: int, col: tuple[int, int]) -> str:
+    """'A|S-A' on S's sites for the column (S, a): '5|6.7.8', or '1|2.3' when S is all sites."""
+    sites = SiteSet(n_sites, col[0]).sites()
+    side = lambda bit: ".".join(str(s) for j, s in enumerate(sites) if (col[1] >> j & 1) == bit)
+    return f"{side(1)}|{side(0)}"
 
-    masks holds A's site mask (site 1 in A, enumerate_bipartitions' order) for each split
-    a quantity reads; evaluate(taus) gives the records of a 1-D tau array, rows(taus, cols)
-    the (T, len(cols)) Schmidt-kernel negativities of psi(tau), pure on its sector.  Only
-    e1_fixed needs mixed states: the rows of _split_table for its parts P, on rho_P = M_P
-    M_P^dagger (M_P the Schmidt matrix of P|rest), parts of one size in one stack.  A call
-    takes at most EVOLVE_BATCH tau, GATHER_ELEMENTS amplitudes gathered for its splits
-    and, with e1_fixed, 2^16 / d^2 tau, d the dimension of the fixed split's larger part.
+
+def _sweep_evaluator(cfg: SweepConfig):
+    """Prepare cfg once: (evaluate, rows, reads), the one rule for which columns a run reads
+    and how many tau one kernel call takes.
+
+    A column (S, a) is N_{A, S-A}: S a site mask, a a local mask (bit j is S's j-th site,
+    A holds S's first site).  S = all sites is psi itself (a is then A's site mask), for
+    the Schmidt kernel on the sector; a part S of the fixed split is rho_S = M_S M_S^dagger,
+    M_S the Schmidt matrix of S|rest, for the mixed kernel.  reads[q] lists q's columns,
+    and q is their minimum.  evaluate(taus) gives the records of a 1-D tau array, rows(taus,
+    cols) the (T, len(cols)) values of the columns asked for and no others.  A call takes at
+    most EVOLVE_BATCH tau, GATHER_ELEMENTS amplitudes gathered for its splits of psi and,
+    with columns on a part, 2^16 / d^2 tau, d the dimension of the largest such part.
     """
     q = cfg.quantities
-    n, k = cfg.n_sites, cfg.initial_label.count("1")
+    n, k, full = cfg.n_sites, cfg.initial_label.count("1"), (1 << cfg.n_sites) - 1
     fixed = cfg.fixed_bipartition or default_fixed_bipartition(n)
     fixed_mask = fixed.part_a.mask if fixed.part_a.mask & 1 else fixed.part_b.mask
-    masks = [m for m in range(1, (1 << n) - 1, 2)
-             if MEBD in q or PER_PARTITION in q or (E_TILDE in q and m.bit_count() in (1, n - 1))
-             or (E1_FIXED in q and m == fixed_mask)]
-    one_site = [j for j, m in enumerate(masks) if m.bit_count() in (1, n - 1)]
-    keys = ([f"p_{Bipartition.from_masks(n, m).label()}" for m in masks]
-            if PER_PARTITION in q else [])
+    parts = (fixed_mask, full ^ fixed_mask)
+    splits = [(full, m) for m in range(1, full, 2)]  # enumerate_bipartitions' order
+    reads = {MEBD: splits, PER_PARTITION: splits,
+             E_TILDE: [c for c in splits if c[1].bit_count() in (1, n - 1)],
+             E1_FIXED: [(full, fixed_mask)] + [(s, a) for s in parts
+                                               for a in range(1, (1 << s.bit_count()) - 1, 2)]}
+    cols = sorted({c for name in q for c in reads[name]})  # psi's splits last, ascending
+    at = {c: j for j, c in enumerate(cols)}
+    picks = {name: [at[c] for c in reads[name]] for name in (MEBD, E1_FIXED, E_TILDE) if name in q}
+    keys = [f"p_{_column_label(n, c)}" for c in splits] if PER_PARTITION in q else []
+    each = [at[c] for c in splits] if keys else []
     sector, w, v, c0 = sector_eigensystem(n, cfg.initial_label, cfg.profile)
-    parts = [m for m in (fixed_mask, fixed_mask ^ ((1 << n) - 1)) if m.bit_count() >= 2]
-    larger = max(fixed_mask.bit_count(), n - fixed_mask.bit_count()) if E1_FIXED in q else 0
 
-    def chunks(taus: np.ndarray, cols: list[int]):  # (tau, amplitudes, table) per call
-        batch = max(1, min(EVOLVE_BATCH, GATHER_ELEMENTS // (len(cols) * len(sector)),
-                           (1 << 16) >> 2 * larger))
+    def chunks(taus: np.ndarray, cols: list[tuple[int, int]]):  # (tau, table) per call
+        pure = [j for j, (s, _) in enumerate(cols) if s == full]
+        mixed = [(j, s, a) for j, (s, a) in enumerate(cols) if s != full]
+        sizes = sorted({s.bit_count() for _, s, _ in mixed})
+        batch = max(1, min(EVOLVE_BATCH, GATHER_ELEMENTS // (max(1, len(pure)) * len(sector)),
+                           (1 << 16) >> 2 * max(sizes, default=0)))
         for lo in range(0, len(taus), batch):
             amps = amplitudes(w, v, c0, taus[lo:lo + batch])
-            yield taus[lo:lo + batch], amps, entanglement.pure_negativities(amps, n, k, cols)
+            table = np.empty((len(amps), len(cols)))
+            if pure:
+                table[:, pure] = entanglement.pure_negativities(
+                    amps, n, k, [cols[j][1] for j in pure])
+            if mixed:
+                psi = np.zeros((len(amps), 1 << n), dtype=np.complex128)
+                psi[:, sector] = amps
+            for size in sizes:  # the parts of one size in one stack, on every local split read
+                group = sorted({s for _, s, _ in mixed if s.bit_count() == size})
+                local = sorted({a for _, s, a in mixed if s in group})
+                ms = [psi[:, entanglement._schmidt_index(n, s)] for s in group]
+                got = dict(zip(group, entanglement._negativities(
+                    np.array([m @ m.conj().swapaxes(1, 2) for m in ms]), local)))
+                for j, s, a in mixed:
+                    if s in got:
+                        table[:, j] = got[s][:, local.index(a)]
+            yield taus[lo:lo + batch], table
 
     def evaluate(taus: np.ndarray) -> list[SweepRecord]:
         records = []
-        for chunk, amps, table in chunks(taus, masks):
-            if E1_FIXED in q:
-                psi = np.zeros((len(amps), 1 << n), dtype=np.complex128)
-                psi[:, sector] = amps
-                ms = {s: psi[:, entanglement._schmidt_index(n, s)] for s in parts}
-                sub = entanglement._split_table(n, parts, lambda group: np.array(
-                    [ms[s] @ ms[s].conj().swapaxes(1, 2) for s in group])).values()
-                e1 = np.min([table[:, masks.index(fixed_mask)],
-                             *(c for r in sub for c in r.values())], axis=0)
-            for t, (tau, row) in enumerate(zip(chunk, table)):
-                values: dict[str, float] = {}
-                if MEBD in q:
-                    values[MEBD] = float(row.min())
-                if E1_FIXED in q:
-                    values[E1_FIXED] = float(e1[t])
-                if E_TILDE in q:
-                    values[E_TILDE] = float(row[one_site].min())
-                values.update(zip(keys, map(float, row)))
-                records.append(SweepRecord(tau=float(tau), values=values))
+        for chunk, table in chunks(taus, cols):
+            values = np.column_stack([table[:, j].min(axis=1) for j in picks.values()]
+                                     + [table[:, each]])
+            records += [SweepRecord(tau, dict(zip([*picks, *keys], row)))
+                        for tau, row in zip(chunk.tolist(), values.tolist())]
         return records
 
-    return evaluate, (lambda taus, cols=masks: np.concatenate(
-        [table for _, _, table in chunks(taus, cols)])), masks
+    return evaluate, (lambda taus, cols: np.concatenate(
+        [table for _, table in chunks(taus, cols)])), reads
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
@@ -204,17 +220,17 @@ def first_maximum(cfg: SweepConfig, quantity: str = MEBD,
     qualifying maximum.  Rounds keep the maximum in [b - h, b + h], from the grid point b
     and h = step: each divides h by SEARCH_BATCH / 2 + 1, evaluates b + h * (+-1 ..
     +-SEARCH_BATCH / 2) together and moves b to the best point if strictly higher,
-    until 2h <= REFINE_TOL (a kink comes out exact).  mebd and e_tilde are searched on
-    R >= the curve, the minimum over candidates: the CANDIDATE_SPLITS lowest splits at
-    each grid point of the cell.  The full rows at b - h, b, b + h certify b: if b's has
-    its minimum at a candidate, curve(b) = R(b) >= max R >= max curve; else that split
-    joins the candidates and the search reruns.  Their minimising splits are the report's
-    splits; e1_fixed keeps every split.  The grid point stays if the search finds nothing
-    higher.  Only quantity is evaluated if cfg has it (else the scan reports it missing).
+    until 2h <= REFINE_TOL (a kink comes out exact).  Each quantity is a minimum over
+    its columns (_sweep_evaluator), so the rounds search R >= the curve, the minimum over
+    candidates: the CANDIDATE_SPLITS lowest columns at each grid point of the cell.  The
+    full rows at b - h, b, b + h certify b: if b's has its minimum at a candidate,
+    curve(b) = R(b) >= max R >= max curve; else that column joins the candidates and the
+    search reruns.  The minimising columns of those rows are the report's splits.  The grid
+    point stays if the search finds nothing higher.  Only quantity is evaluated if cfg has it
+    (else the scan reports it missing).
     """
     cfg = replace(cfg, quantities=(quantity,)) if quantity in cfg.quantities else cfg
-    evaluate, rows, masks = _sweep_evaluator(cfg)
-    masks = masks if quantity in (MEBD, E_TILDE) else []  # e1_fixed is searched on its curve
+    evaluate, rows, reads = _sweep_evaluator(cfg)
     taus, series = cfg.grid(), []
     for lo in range(0, len(taus), SEARCH_BATCH):  # the last two points are still open
         series = series[-2:] + evaluate(taus[lo:lo + SEARCH_BATCH])
@@ -224,30 +240,25 @@ def first_maximum(cfg: SweepConfig, quantity: str = MEBD,
         except NoMaximumFound:
             if lo + SEARCH_BATCH >= len(taus):
                 raise
-    half = SEARCH_BATCH // 2
+    cols, half = reads[quantity], SEARCH_BATCH // 2
     offsets, ends = np.r_[-half:0, 1:half + 1], np.array([-1.0, 0.0, 1.0])
-    cand = sorted(set(np.argsort(rows(grid.tau_star + cfg.tau_step * ends),
-                                 kind="stable")[:, :CANDIDATE_SPLITS].flat) if masks else [])
-    b, fb, h, low = grid.tau_star, grid.value, cfg.tau_step, np.zeros((3, 0), dtype=bool)
+    cand = sorted(set(np.argsort(rows(grid.tau_star + cfg.tau_step * ends, cols),
+                                 kind="stable")[:, :CANDIDATE_SPLITS].flat))
+    b, fb, h = grid.tau_star, grid.value, cfg.tau_step
     while True:  # the maximum of R lies in [b - h, b + h], and R(b) = fb is the highest seen
-        if 2 * h > REFINE_TOL:
+        while 2 * h > REFINE_TOL:
             h /= half + 1
             x = b + h * offsets
-            fx = (rows(x, [masks[j] for j in cand]).min(axis=1) if masks
-                  else np.array([r.values[quantity] for r in evaluate(x)]))
+            fx = rows(x, [cols[j] for j in cand]).min(axis=1)
             if fx.max() > fb:
                 b, fb = x[fx.argmax()], fx.max()
-        elif masks:  # the certificate: one full row at each of b - h, b and b + h
-            final = rows(b + h * ends)
-            low = final == final.min(axis=1, keepdims=True)
-            if low[1, cand].any():
-                break
-            cand = sorted(cand + [int(final[1].argmin())])
-            b, fb, h = grid.tau_star, grid.value, cfg.tau_step
-        else:
+        final = rows(b + h * ends, cols)  # the certificate: full rows at b - h, b and b + h
+        low = final == final.min(axis=1, keepdims=True)
+        if low[1, cand].any():
             break
-    splits = tuple(Bipartition.from_masks(cfg.n_sites, m).label()
-                   for m, hit in zip(masks, low.any(axis=0)) if hit)
+        cand = sorted(cand + [int(final[1].argmin())])
+        b, fb, h = grid.tau_star, grid.value, cfg.tau_step
+    splits = tuple(_column_label(cfg.n_sites, c) for c, hit in zip(cols, low.any(axis=0)) if hit)
     return MaximumReport(float(b), float(fb), "exact", splits) if fb > grid.value else grid
 
 

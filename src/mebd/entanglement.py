@@ -10,12 +10,14 @@ There is one kernel per kind of state: pure states use their Schmidt values
 full basis, one batched svd per block shape), mixed reduced states the blocks
 of their partial transposes, gathered straight from rho for every split and
 solved with one batched eigvalsh per block size (_negativities, on site
-masks, in excitation blocks or as one block).  _split_table hands it the
-reduced states of one size as one stack, for lower_estimates and e1_fixed.
-Each public function checks its input on entry and raises ValueError for bad
-shapes or NaN/Inf (linalg.check_hermitian for a density matrix,
-_check_amplitudes for pure states); the kernels behind do not, and take a
-stack whole: dynamics.run_sweep sizes the batches it hands them.
+masks, in excitation blocks or as one block), lower_estimates handing it the
+reduced states of one size as one stack.  Each public function checks its
+input on entry and raises ValueError for bad shapes or NaN/Inf
+(linalg.check_hermitian for a density matrix, _check_amplitudes for pure
+states); the kernels behind do not.  They bound their own temporaries
+(_schmidt_negativities' pair products, 2^15 floats at a time; _negativities'
+gathers, max(d^2, _GATHER_ENTRIES) entries per state per eigvalsh call), and
+dynamics._sweep_evaluator's batch rule sizes the stacks a sweep hands them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import functools
 import itertools
 import math
 import numbers
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,46 +287,32 @@ def max_level(n_sites: int) -> int:
     return max(1, n_sites - 2)
 
 
-def _split_table(n_sites: int, keeps: Iterable[int],
-                 states: Callable[[list[int]], np.ndarray]) -> dict[int, dict[int, float | list]]:
-    """Every split negativity of the reduced state on each mask S of keeps (2+ sites each).
-
-    states(group) gives the states on a list of masks of one size as one stack,
-    (len(group), d, d) or (len(group), T, d, d); one size is formed and solved at
-    a time.  table[S][A] is N_{A, S-A} on rho_S, a float, or a list over T, for
-    each canonical split of S: A holds S's first site, keyed by its mask.
-    """
-    table, keeps = {}, list(keeps)
-    for size in sorted({s.bit_count() for s in keeps}):
-        group = [s for s in keeps if s.bit_count() == size]
-        local = range(1, (1 << size) - 1, 2)
-        for keep, v in zip(group, _negativities(states(group), local)):
-            bits = [b for b in range(n_sites) if keep >> b & 1]  # bit k of rho_S: site bits[k]+1
-            table[keep] = {sum(1 << b for k, b in enumerate(bits) if a >> k & 1): x
-                           for a, x in zip(local, np.moveaxis(v, -1, 0).tolist())}
-    return table
-
-
 def lower_estimates(rho: np.ndarray) -> list[float]:
     """The level-k lower estimators of MEBD, k = 1..max_level(N): non-increasing in k.
 
     E^0 is exact MEBD and E^k(S) = max over splits A|B of S of min(E^(k-1)(A),
-    E^(k-1)(B), N_{A,B}), with E = +inf on single sites.  The table of every
-    split negativity of every reduced state is built once (_split_table), each
-    rho_S traced from rho once; each level is one pass over its rows.
+    E^(k-1)(B), N_{A,B}), with E = +inf on single sites.  The split table is
+    built once: table[S][A] is N_{A, S-A} on rho_S for each mask S of two or more
+    sites and each canonical split of S (A holds S's first site, keyed by its
+    mask).  Each rho_S is traced from rho once, and the states of one size go to
+    the mixed kernel as one stack; each level is one pass over the table's rows.
     """
     rho = linalg.check_hermitian(rho)
     n = n_sites_of(rho)
     if n < 2:
         raise ValueError(f"need at least 2 sites, got {n}")
-
-    def traces(group):  # filled in place: a list of the rho_S would hold them twice
-        out = np.empty((len(group),) + (1 << group[0].bit_count(),) * 2, rho.dtype)
+    table = {}
+    for size in range(2, n + 1):
+        group = [s for s in range(1, 1 << n) if s.bit_count() == size]
+        states = np.empty((len(group),) + (1 << size,) * 2, rho.dtype)  # a list would copy twice
         for i, s in enumerate(group):
-            out[i] = partial_trace(rho, SiteSet(n, s))
-        return out
-
-    table = _split_table(n, (s for s in range(1, 1 << n) if s & (s - 1)), traces)  # 2+ sites
+            states[i] = partial_trace(rho, SiteSet(n, s))
+        local = range(1, (1 << size) - 1, 2)
+        for keep, row in zip(group, _negativities(states, local).tolist()):
+            bits = [b for b in range(n) if keep >> b & 1]  # bit k of rho_S: site bits[k]+1
+            table[keep] = {sum(1 << b for k, b in enumerate(bits) if a >> k & 1): x
+                           for a, x in zip(local, row)}
+        del states  # freed before the next size's stack and kernel call, not after
     est = {s: min(row.values()) for s, row in table.items()}
     ladder = []
     for _ in range(max_level(n)):

@@ -126,11 +126,12 @@ def transposed_partial_trace(rho, keep):
 
 
 def all_splits_first_maximum(cfg, quantity=dynamics.MEBD, min_value=0.5):
-    """Oracle of dynamics.first_maximum: its refinement rounds with every split at each point.
+    """Oracle of dynamics.first_maximum: its refinement rounds with every column at each point.
 
-    The whole grid is scanned, then each round evaluates the whole curve at
-    b + h * (+-1 .. +-SEARCH_BATCH / 2), h divided by SEARCH_BATCH / 2 + 1 per round,
-    down to REFINE_TOL; no candidates and no certificate.  Returns (tau*, value, kind).
+    The whole grid is scanned, then each round evaluates the whole curve, every column
+    of the quantity, at b + h * (+-1 .. +-SEARCH_BATCH / 2), h divided by
+    SEARCH_BATCH / 2 + 1 per round, down to REFINE_TOL; no candidates and no
+    certificate.  Returns (tau*, value, kind).
     """
     cfg = replace(cfg, quantities=(quantity,))
     evaluate = dynamics._sweep_evaluator(cfg)[0]

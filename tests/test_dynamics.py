@@ -26,8 +26,8 @@ from mebd.dynamics import (
     sanity_tau_bound,
     sector_eigensystem,
 )
-from mebd.entanglement import mebd, single_node_witness
-from mebd.hilbert import Bipartition, SiteSet, excitation_sector
+from mebd.entanglement import double_negativity, mebd, single_node_witness
+from mebd.hilbert import Bipartition, SiteSet, excitation_sector, partial_trace
 from mebd.model import CouplingKind
 
 from conftest import (all_splits_first_maximum, dense_lower_estimate_1, evolve_full, full_hdz,
@@ -517,8 +517,8 @@ class TestFirstMaximum:
         scanned, prepare = [], dynamics._sweep_evaluator
 
         def watched(cfg):
-            evaluate, rows, masks = prepare(cfg)
-            return (lambda taus: scanned.append(taus) or evaluate(taus)), rows, masks
+            evaluate, rows, reads = prepare(cfg)
+            return (lambda taus: scanned.append(taus) or evaluate(taus)), rows, reads
 
         monkeypatch.setattr(dynamics, "_sweep_evaluator", watched)
         cfg = SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05, quantities=(MEBD,))
@@ -602,24 +602,76 @@ class TestCertifiedSearch:
         assert all(t == dynamics.SEARCH_BATCH and m <= 3 * dynamics.CANDIDATE_SPLITS
                    for t, m in rounds)
 
-    @pytest.mark.parametrize("n, label, splits", [
-        (3, "010", ("1|2.3", "1.3|2")),
+    @pytest.mark.parametrize("quantity, n, label, splits", [
+        pytest.param(MEBD, 3, "010", ("1|2.3", "1.3|2"), id="3-010-splits0"),
         # At the smooth N=4 maximum every one-site split is maximally entangled.
-        (4, "1001", ("1|2.3.4", "1.2.3|4", "1.2.4|3", "1.3.4|2")),
+        pytest.param(MEBD, 4, "1001", ("1|2.3.4", "1.2.3|4", "1.2.4|3", "1.3.4|2"),
+                     id="4-1001-splits1"),
         # 100110 is symmetric under reflection with a global spin flip, so its
         # partner splits 1|rest and 6|rest, 3|rest and 4|rest, tie at tau*.
-        (6, "100110", ("1|2.3.4.5.6", "1.2.3.4.5|6", "1.2.3.5.6|4", "1.2.4.5.6|3")),
+        pytest.param(MEBD, 6, "100110",
+                     ("1|2.3.4.5.6", "1.2.3.4.5|6", "1.2.3.5.6|4", "1.2.4.5.6|3"),
+                     id="6-100110-splits2"),
+        # e1_fixed on the default split, first half | rest: one split of each part.
+        pytest.param(E1_FIXED, 6, "100110", ("1.2|3", "4|5.6"), id="e1_fixed-6-100110"),
+        pytest.param(E1_FIXED, 8, "10011001", ("1.2.3|4", "5|6.7.8"), id="e1_fixed-8-10011001"),
     ])
-    def test_splits_at_the_maximum(self, n, label, splits):
-        cfg = SweepConfig(n, label, tau_end=3.0, tau_step=0.05, quantities=(MEBD,))
-        assert first_maximum(cfg, MEBD).splits == splits
+    def test_splits_at_the_maximum(self, quantity, n, label, splits):
+        cfg = SweepConfig(n, label, tau_end=3.0, tau_step=0.05, quantities=(quantity,))
+        assert first_maximum(cfg, quantity, min_value=0.1).splits == splits
 
-    def test_e1_fixed_names_no_splits(self):
+    def test_e1_fixed_names_its_columns(self):
+        # The default N=6 split is 1.2.3|4.5.6.  At the maximum the named
+        # columns, one split of each part on its reduced state, are both at E*,
+        # and the fixed split's own column lies above it.
         cfg = SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05, quantities=(E1_FIXED,))
         report = first_maximum(cfg, E1_FIXED, min_value=0.1)
-        assert report.kind == "exact" and report.splits == ()
-        assert (report.tau_star, report.value, report.kind) == all_splits_first_maximum(
-            cfg, E1_FIXED, min_value=0.1)
+        assert report.kind == "exact" and report.splits == ("1.2|3", "4|5.6")
+        tau, value, kind = all_splits_first_maximum(cfg, E1_FIXED, min_value=0.1)
+        assert abs(report.tau_star - tau) <= REFINE_TOL and abs(report.value - value) <= 1e-9
+        (psi,) = evolve_full(6, "100110", [report.tau_star])
+        rho = np.outer(psi, psi.conj())
+        for part, a in (([1, 2, 3], [1, 2]), ([4, 5, 6], [1])):  # a: sites of the part's A
+            sub = partial_trace(rho, SiteSet.from_sites(6, part))
+            split = Bipartition.from_masks(3, SiteSet.from_sites(3, a).mask)
+            assert abs(double_negativity(sub, split) - report.value) < 1e-8
+        assert double_negativity(rho, default_fixed_bipartition(6)) > report.value + 0.1
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(st.data())
+    def test_e1_fixed_matches_all_columns_search(self, n, data):
+        # Any label and any fixed split: one-site parts, site 1 in B.
+        label = data.draw(st.text("01", min_size=n, max_size=n), label="label")
+        fixed = Bipartition.from_masks(n, data.draw(st.integers(1, (1 << n) - 2), label="mask_a"))
+        cfg = SweepConfig(n, label, data.draw(st.sampled_from(list(CouplingKind))),
+                          tau_end=4.0, tau_step=data.draw(st.sampled_from([0.05, 0.1])),
+                          quantities=(E1_FIXED,), fixed_bipartition=fixed)
+        try:
+            tau, value, kind = all_splits_first_maximum(cfg, E1_FIXED, min_value=0.1)
+        except NoMaximumFound:
+            with pytest.raises(NoMaximumFound):
+                first_maximum(cfg, E1_FIXED, min_value=0.1)
+            return
+        report = first_maximum(cfg, E1_FIXED, min_value=0.1)
+        assert report.kind == kind
+        assert abs(report.tau_star - tau) <= REFINE_TOL
+        assert abs(report.value - value) <= 1e-9
+
+    def test_e1_fixed_rounds_read_only_candidate_columns(self, monkeypatch):
+        # N=7, fixed split 1|2..7: each grid batch, the candidate rows and the
+        # certificate solve all 31 splits of the 6-site part; each of the 8
+        # rounds solves only the candidates among them, in one call of 16 tau.
+        solved, kernel = [], entanglement._negativities
+        monkeypatch.setattr(entanglement, "_negativities", lambda rho, masks: (
+            solved.append((rho.shape[1], len(masks))) or kernel(rho, masks)))
+        cfg = SweepConfig(7, "1001100", tau_end=3.0, tau_step=0.05, quantities=(E1_FIXED,),
+                          fixed_bipartition=Bipartition.from_masks(7, 1))
+        assert first_maximum(cfg, E1_FIXED, min_value=0.3).kind == "exact"
+        rounds = [c for c in solved if c[1] != 31]
+        assert len(rounds) == 8 and len(solved) > 8
+        assert all(t == dynamics.SEARCH_BATCH and m <= 3 * dynamics.CANDIDATE_SPLITS
+                   for t, m in rounds)
 
 
 class TestSanityTauBound:
