@@ -8,7 +8,7 @@ then needs the phase factors e^{-i w tau} and one matrix-vector product per tau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,7 @@ class SweepConfig:
             raise ValueError(f"n_sites must be 2..{MAX_SITES}, got {self.n_sites}")
         if len(self.initial_label) != self.n_sites:
             raise ValueError("initial label length != n_sites")
+        basis_index(self.initial_label)  # a 0/1 label: a bad one fails before any eigensolve
         for name in ("tau_start", "tau_end", "tau_step"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -108,12 +109,14 @@ def sector_eigensystem(n_sites: int, initial_label: str,
     are the eigenvalues and eigenvectors of H's block there (all-pairs dipolar
     unless a profile is given), c0 the initial state in that eigenbasis.
     """
+    if not 2 <= n_sites <= MAX_SITES:
+        raise ValueError(f"n_sites must be 2..{MAX_SITES}, got {n_sites}")
     if len(initial_label) != n_sites:
         raise ValueError("initial label length != n_sites")
-    k = initial_label.count("1")
-    w, v = np.linalg.eigh(build_hdz(n_sites, k, profile))
-    sector = excitation_sector(n_sites, k)
-    return sector, w, v, v[sector.index(basis_index(initial_label))]
+    start = basis_index(initial_label)  # a 0/1 label, checked before the eigensolve
+    w, v = np.linalg.eigh(build_hdz(n_sites, start.bit_count(), profile))
+    sector = excitation_sector(n_sites, start.bit_count())
+    return sector, w, v, v[sector.index(start)]
 
 
 def amplitudes(w: np.ndarray, v: np.ndarray, c0: np.ndarray, taus) -> np.ndarray:
@@ -139,19 +142,17 @@ def _column_label(n_sites: int, col: tuple[int, int]) -> str:
 
 
 def _sweep_evaluator(cfg: SweepConfig):
-    """Prepare cfg once: (evaluate, rows, reads), the one rule for which columns a run reads
-    and how many tau one kernel call takes.
+    """Prepare cfg once: (rows, reads), the columns each quantity reads and the one batch rule.
 
     A column (S, a) is N_{A, S-A}: S a site mask, a a local mask (bit j is S's j-th site,
     A holds S's first site).  S = all sites is psi itself (a is then A's site mask), for
     the Schmidt kernel on the sector; a part S of the fixed split is rho_S = M_S M_S^dagger,
     M_S the Schmidt matrix of S|rest, for the mixed kernel.  reads[q] lists q's columns,
-    and q is their minimum.  evaluate(taus) gives the records of a 1-D tau array, rows(taus,
-    cols) the (T, len(cols)) values of the columns asked for and no others.  A call takes at
-    most EVOLVE_BATCH tau, GATHER_ELEMENTS amplitudes gathered for its splits of psi and,
-    with columns on a part, 2^16 / d^2 tau, d the dimension of the largest such part.
+    and q is their minimum.  rows(taus, cols) yields (tau, table) per kernel call, table
+    the values of the columns asked for and no others.  A call takes at most EVOLVE_BATCH
+    tau, GATHER_ELEMENTS amplitudes gathered for its splits of psi and, with columns on a
+    part, 2^16 / d^2 tau, d the dimension of the largest such part.
     """
-    q = cfg.quantities
     n, k, full = cfg.n_sites, cfg.initial_label.count("1"), (1 << cfg.n_sites) - 1
     fixed = cfg.fixed_bipartition or default_fixed_bipartition(n)
     fixed_mask = fixed.part_a.mask if fixed.part_a.mask & 1 else fixed.part_b.mask
@@ -161,14 +162,9 @@ def _sweep_evaluator(cfg: SweepConfig):
              E_TILDE: [c for c in splits if c[1].bit_count() in (1, n - 1)],
              E1_FIXED: [(full, fixed_mask)] + [(s, a) for s in parts
                                                for a in range(1, (1 << s.bit_count()) - 1, 2)]}
-    cols = sorted({c for name in q for c in reads[name]})  # psi's splits last, ascending
-    at = {c: j for j, c in enumerate(cols)}
-    picks = {name: [at[c] for c in reads[name]] for name in (MEBD, E1_FIXED, E_TILDE) if name in q}
-    keys = [f"p_{_column_label(n, c)}" for c in splits] if PER_PARTITION in q else []
-    each = [at[c] for c in splits] if keys else []
     sector, w, v, c0 = sector_eigensystem(n, cfg.initial_label, cfg.profile)
 
-    def chunks(taus: np.ndarray, cols: list[tuple[int, int]]):  # (tau, table) per call
+    def rows(taus: np.ndarray, cols: list[tuple[int, int]]):
         pure = [j for j, (s, _) in enumerate(cols) if s == full]
         mixed = [(j, s, a) for j, (s, a) in enumerate(cols) if s != full]
         sizes = sorted({s.bit_count() for _, s, _ in mixed})
@@ -194,22 +190,24 @@ def _sweep_evaluator(cfg: SweepConfig):
                         table[:, j] = got[s][:, local.index(a)]
             yield taus[lo:lo + batch], table
 
-    def evaluate(taus: np.ndarray) -> list[SweepRecord]:
-        records = []
-        for chunk, table in chunks(taus, cols):
-            values = np.column_stack([table[:, j].min(axis=1) for j in picks.values()]
-                                     + [table[:, each]])
-            records += [SweepRecord(tau, dict(zip([*picks, *keys], row)))
-                        for tau, row in zip(chunk.tolist(), values.tolist())]
-        return records
-
-    return evaluate, (lambda taus, cols: np.concatenate(
-        [table for _, table in chunks(taus, cols)])), reads
+    return rows, reads
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the requested witnesses on the tau grid, in grid order."""
-    return _sweep_evaluator(cfg)[0](cfg.grid())
+    rows, reads = _sweep_evaluator(cfg)
+    q, splits = cfg.quantities, reads[PER_PARTITION]
+    cols = sorted({c for name in q for c in reads[name]})  # psi's splits last, ascending
+    at = {c: j for j, c in enumerate(cols)}
+    picks = {name: [at[c] for c in reads[name]] for name in (MEBD, E1_FIXED, E_TILDE) if name in q}
+    each = {f"p_{_column_label(cfg.n_sites, c)}": at[c] for c in splits if PER_PARTITION in q}
+    records = []
+    for chunk, table in rows(cfg.grid(), cols):
+        values = np.column_stack([table[:, j].min(axis=1) for j in picks.values()]
+                                 + [table[:, [*each.values()]]])
+        records += [SweepRecord(tau, dict(zip([*picks, *each], row)))
+                    for tau, row in zip(chunk.tolist(), values.tolist())]
+    return records
 
 
 def first_maximum(cfg: SweepConfig, quantity: str = MEBD,
@@ -222,37 +220,41 @@ def first_maximum(cfg: SweepConfig, quantity: str = MEBD,
     +-SEARCH_BATCH / 2) together and moves b to the best point if strictly higher,
     until 2h <= REFINE_TOL (a kink comes out exact).  Each quantity is a minimum over
     its columns (_sweep_evaluator), so the rounds search R >= the curve, the minimum over
-    candidates: the CANDIDATE_SPLITS lowest columns at each grid point of the cell.  The
-    full rows at b - h, b, b + h certify b: if b's has its minimum at a candidate,
-    curve(b) = R(b) >= max R >= max curve; else that column joins the candidates and the
-    search reruns.  The minimising columns of those rows are the report's splits.  The grid
-    point stays if the search finds nothing higher.  Only quantity is evaluated if cfg has it
-    (else the scan reports it missing).
+    candidates: the CANDIDATE_SPLITS lowest columns at each grid point of the cell, in the
+    scan's rows.  The full rows at b - h, b, b + h certify b: if b's has its minimum at a
+    candidate, curve(b) = R(b) >= max R >= max curve; else that column joins the candidates
+    and the search reruns.  Those rows' minimising columns are the report's splits, and the
+    grid point stays if nothing is higher.  Only quantity, in cfg and not per_partition, is read.
     """
-    cfg = replace(cfg, quantities=(quantity,)) if quantity in cfg.quantities else cfg
-    evaluate, rows, reads = _sweep_evaluator(cfg)
-    taus, series = cfg.grid(), []
+    if quantity not in cfg.quantities or quantity == PER_PARTITION:  # before the eigensolve
+        raise ValueError(f"quantity {quantity!r} is not in the series")
+    rows, reads = _sweep_evaluator(cfg)
+    cols, half = reads[quantity], SEARCH_BATCH // 2
+    taus, seen = cfg.grid(), np.empty((0, len(cols)))
+
+    def table(x: np.ndarray, cols: list[tuple[int, int]]) -> np.ndarray:  # every call's rows
+        return np.concatenate([t for _, t in rows(x, cols)])
     for lo in range(0, len(taus), SEARCH_BATCH):  # the last two points are still open
-        series = series[-2:] + evaluate(taus[lo:lo + SEARCH_BATCH])
+        kept = taus[max(0, lo - 2):lo + SEARCH_BATCH].tolist()
+        seen = np.concatenate([seen[-2:], table(taus[lo:lo + SEARCH_BATCH], cols)])
+        series = [SweepRecord(t, {quantity: v}) for t, v in zip(kept, seen.min(axis=1).tolist())]
         try:
             grid = find_first_maximum(series, quantity, min_value)
             break
         except NoMaximumFound:
             if lo + SEARCH_BATCH >= len(taus):
                 raise
-    cols, half = reads[quantity], SEARCH_BATCH // 2
-    offsets, ends = np.r_[-half:0, 1:half + 1], np.array([-1.0, 0.0, 1.0])
-    cand = sorted(set(np.argsort(rows(grid.tau_star + cfg.tau_step * ends, cols),
-                                 kind="stable")[:, :CANDIDATE_SPLITS].flat))
+    i = kept.index(grid.tau_star)  # the cell's full rows are the scan's own
+    cand = sorted(set(np.argsort(seen[i - 1:i + 2], kind="stable")[:, :CANDIDATE_SPLITS].flat))
     b, fb, h = grid.tau_star, grid.value, cfg.tau_step
     while True:  # the maximum of R lies in [b - h, b + h], and R(b) = fb is the highest seen
         while 2 * h > REFINE_TOL:
             h /= half + 1
-            x = b + h * offsets
-            fx = rows(x, [cols[j] for j in cand]).min(axis=1)
+            x = b + h * np.r_[-half:0, 1:half + 1]
+            fx = table(x, [cols[j] for j in cand]).min(axis=1)
             if fx.max() > fb:
                 b, fb = x[fx.argmax()], fx.max()
-        final = rows(b + h * ends, cols)  # the certificate: full rows at b - h, b and b + h
+        final = table(b + h * np.r_[-1:2], cols)  # the certificate: full rows at b - h, b, b + h
         low = final == final.min(axis=1, keepdims=True)
         if low[1, cand].any():
             break
@@ -272,8 +274,6 @@ def find_first_maximum(series: list[SweepRecord], quantity: str = MEBD,
     """
     if math.isnan(min_value):
         raise ValueError("min_value must not be NaN")
-    if not series:
-        raise NoMaximumFound("empty series")
     taus = [r.tau for r in series]
     steps = np.diff(taus)
     if np.any(steps <= 0):

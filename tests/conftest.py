@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,20 +127,26 @@ def transposed_partial_trace(rho, keep):
 def all_splits_first_maximum(cfg, quantity=dynamics.MEBD, min_value=0.5):
     """Oracle of dynamics.first_maximum: its refinement rounds with every column at each point.
 
-    The whole grid is scanned, then each round evaluates the whole curve, every column
-    of the quantity, at b + h * (+-1 .. +-SEARCH_BATCH / 2), h divided by
-    SEARCH_BATCH / 2 + 1 per round, down to REFINE_TOL; no candidates and no
-    certificate.  Returns (tau*, value, kind).
+    The whole grid is scanned, then each round evaluates the whole curve, the minimum of
+    every column of the quantity in _sweep_evaluator's rows, at b + h * (+-1 ..
+    +-SEARCH_BATCH / 2), h divided by SEARCH_BATCH / 2 + 1 per round, down to REFINE_TOL;
+    no candidates and no certificate.  Returns (tau*, value, kind).
     """
-    cfg = replace(cfg, quantities=(quantity,))
-    evaluate = dynamics._sweep_evaluator(cfg)[0]
-    grid = dynamics.find_first_maximum(evaluate(cfg.grid()), quantity, min_value)
+    rows, reads = dynamics._sweep_evaluator(cfg)
+
+    def curve(taus):
+        return np.concatenate([t for _, t in rows(taus, reads[quantity])]).min(axis=1)
+
+    taus = cfg.grid()
+    series = [dynamics.SweepRecord(t, {quantity: v})
+              for t, v in zip(taus.tolist(), curve(taus).tolist())]
+    grid = dynamics.find_first_maximum(series, quantity, min_value)
     half = dynamics.SEARCH_BATCH // 2
     b, fb, h = grid.tau_star, grid.value, cfg.tau_step
     while 2 * h > dynamics.REFINE_TOL:
         h /= half + 1
         x = b + h * np.r_[-half:0, 1:half + 1]
-        fx = np.array([r.values[quantity] for r in evaluate(x)])
+        fx = curve(x)
         if fx.max() > fb:
             b, fb = x[fx.argmax()], fx.max()
     return (b, fb, "exact") if fb > grid.value else (grid.tau_star, grid.value, grid.kind)

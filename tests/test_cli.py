@@ -278,6 +278,23 @@ class TestNegativityCommand:
         assert code == 0
         assert abs(float(out.strip()) - abs(math.sin(tau))) < 1e-9
 
+    def test_bad_label_fails_before_the_hamiltonian(self, capsys, monkeypatch):
+        # A label that is not 0/1 is refused before H is built: by SweepConfig for
+        # sweeps and searches, by sector_eigensystem for the negativity query.
+        from mebd import dynamics
+
+        def unreachable(*args):
+            raise AssertionError("build_hdz called on a bad label")
+
+        monkeypatch.setattr(dynamics, "build_hdz", unreachable)
+        for make in (dynamics.SweepConfig, dynamics.sector_eigensystem):
+            with pytest.raises(ValueError, match="0/1"):
+                make(3, "0a1")
+        for argv in (("negativity", "--tau", "1", "--partition", "1|2,3"), ("sweep",),
+                     ("first-max",)):
+            code, out, err = run_cli(capsys, *argv, "--n", "3", "--init", "0a1")
+            assert code == 2 and "0/1" in err and not out
+
     def test_malformed_partition(self, capsys):
         for spec in ("1,2,3,4", "1,1|2,3,4"):
             code, _, err = run_cli(capsys, "negativity", "--n", "4", "--init", "1001",
@@ -529,13 +546,15 @@ def test_readme_names_resolve():
 
 
 def test_benchmark_entry_points_exist():
-    """The names the benchmark under perfbench/ calls, and the re-export its selftest
-    patches through entanglement.  This test falls away when ROADMAP item 1 repoints
-    the benchmark at lower_estimates and partial_trace.
+    """The names the benchmark under perfbench/ calls or times, and the re-export its
+    selftest patches through entanglement.  Its dynamics.first_max_ms_per_op reads the
+    spans of find_first_maximum, which first_maximum calls once per scan batch
+    (test_dynamics' test_search_reads_no_grid_point_twice).  This test falls away when
+    ROADMAP item 1 repoints the benchmark at lower_estimates and partial_trace.
     """
     from mebd import dynamics, entanglement, hilbert
 
-    for entry in (cli.main, dynamics.SweepConfig, dynamics.run_sweep,
+    for entry in (cli.main, dynamics.SweepConfig, dynamics.run_sweep, dynamics.find_first_maximum,
                   entanglement.lower_estimate_level, entanglement.max_level):
         assert callable(entry)
     assert entanglement.partial_transpose is hilbert.partial_transpose

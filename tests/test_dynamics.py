@@ -512,28 +512,51 @@ class TestFirstMaximum:
 
     def test_scan_stops_at_the_first_maximum(self, monkeypatch):
         # tau* = 2.1 is grid point 42 of 61; its right neighbour is in the third
-        # batch of 16, so the scan ends there.  Without a qualifying maximum the
-        # whole grid is scanned; a missing quantity fails on the first batch.
-        scanned, prepare = [], dynamics._sweep_evaluator
+        # batch of 16, so the scan ends there, and no later call reads a grid
+        # point.  Without a qualifying maximum the whole grid is scanned; a
+        # missing quantity, or per_partition, fails before anything is scanned.
+        asked, prepare = [], dynamics._sweep_evaluator
 
         def watched(cfg):
-            evaluate, rows, reads = prepare(cfg)
-            return (lambda taus: scanned.append(taus) or evaluate(taus)), rows, reads
+            rows, reads = prepare(cfg)
+            return (lambda taus, cols: asked.append(taus) or rows(taus, cols)), reads
 
         monkeypatch.setattr(dynamics, "_sweep_evaluator", watched)
-        cfg = SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05, quantities=(MEBD,))
+        cfg = SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05,
+                          quantities=(MEBD, PER_PARTITION))
+        grid_points = lambda: [taus for taus in asked if np.isin(taus, cfg.grid()).any()]
         assert first_maximum(cfg, MEBD).kind == "exact"
-        assert [len(taus) for taus in scanned] == [16, 16, 16]
-        assert np.array_equal(np.concatenate(scanned), cfg.grid()[:48])
-        scanned.clear()
+        assert [len(taus) for taus in grid_points()] == [16, 16, 16]
+        assert np.array_equal(np.concatenate(grid_points()), cfg.grid()[:48])
+        assert len(asked) > 3
+        asked.clear()
         with pytest.raises(NoMaximumFound):
             first_maximum(cfg, MEBD, min_value=2.0)
-        assert np.array_equal(np.concatenate(scanned), cfg.grid())
-        scanned.clear()
-        with pytest.raises(ValueError, match="'e_tilde' is not in the series") as exc:
-            first_maximum(cfg, E_TILDE)
-        assert not isinstance(exc.value, NoMaximumFound)
-        assert [len(taus) for taus in scanned] == [16]
+        assert np.array_equal(np.concatenate(asked), cfg.grid())
+        asked.clear()
+        monkeypatch.setattr(dynamics, "sector_eigensystem", None)  # no eigensolve either
+        for quantity in (E_TILDE, PER_PARTITION):
+            with pytest.raises(ValueError, match=f"'{quantity}' is not in the series") as exc:
+                first_maximum(cfg, quantity)
+            assert not isinstance(exc.value, NoMaximumFound)
+        assert not asked
+
+    def test_search_reads_no_grid_point_twice(self, monkeypatch):
+        # After the scan, the N=6 search evaluates psi only off the grid: the
+        # candidates come from the scan's own rows at the grid cell.  The scan's
+        # minima are the sweep's mebd values, bit for bit.
+        cfg = SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05, quantities=(MEBD,))
+        evolved, scans, evolve, scan = [], [], dynamics.amplitudes, dynamics.find_first_maximum
+        monkeypatch.setattr(dynamics, "amplitudes",
+                            lambda w, v, c0, taus: evolved.append(taus) or evolve(w, v, c0, taus))
+        monkeypatch.setattr(dynamics, "find_first_maximum",
+                            lambda series, *a: scans.append(series) or scan(series, *a))
+        assert first_maximum(cfg, MEBD).kind == "exact"
+        assert np.array_equal(np.concatenate(evolved[:3]), cfg.grid()[:48])
+        assert not np.isin(np.concatenate(evolved[3:]), cfg.grid()).any()
+        swept = {r.tau: r.values[MEBD] for r in run_sweep(cfg)}
+        assert len(scans) == 3
+        assert all(r.values == {MEBD: swept[r.tau]} for series in scans for r in series)
 
     def test_scan_checks_kept(self):
         cfg = SweepConfig(3, "010", tau_end=3.0, tau_step=0.05, quantities=(MEBD,))
@@ -586,17 +609,18 @@ class TestCertifiedSearch:
         monkeypatch.setattr(dynamics, "CANDIDATE_SPLITS", 1)
         calls = kernel_calls(monkeypatch)
         report = first_maximum(cfg, MEBD, min_value=0.1)
-        assert calls.count((3, 31)) == 3  # candidate rows, a failed and a held certificate
+        assert calls.count((3, 31)) == 2  # a failed and a held certificate
         assert abs(report.tau_star - tau) <= REFINE_TOL
         assert abs(report.value - value) <= 1e-9
 
     def test_steps_evaluate_only_candidate_splits(self, monkeypatch):
         calls = kernel_calls(monkeypatch)
         first_maximum(SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05, quantities=(MEBD,)))
-        # Three grid batches up to the maximum at tau 2.1 (point 42), the candidate
-        # rows at its cell, the certificate rows at b - h, b, b + h; 13 calls in all.
-        assert len(calls) == 13
-        assert [c for c in calls if c[1] == 31] == [(16, 31)] * 3 + [(3, 31), (3, 31)]
+        # Three grid batches up to the maximum at tau 2.1 (point 42), whose rows
+        # give the candidates at its cell, then eight rounds and the certificate
+        # rows at b - h, b, b + h; 12 calls in all.
+        assert len(calls) == 12
+        assert [c for c in calls if c[1] == 31] == [(16, 31)] * 3 + [(3, 31)]
         rounds = [c for c in calls if c[1] != 31]
         assert len(rounds) == 8
         assert all(t == dynamics.SEARCH_BATCH and m <= 3 * dynamics.CANDIDATE_SPLITS
