@@ -148,10 +148,12 @@ def _sweep_evaluator(cfg: SweepConfig):
     A holds S's first site).  S = all sites is psi itself (a is then A's site mask), for
     the Schmidt kernel on the sector; a part S of the fixed split is rho_S = M_S M_S^dagger,
     M_S the Schmidt matrix of S|rest, for the mixed kernel.  reads[q] lists q's columns,
-    and q is their minimum.  rows(taus, cols) yields (tau, table) per kernel call, table
-    the values of the columns asked for and no others.  A call takes at most EVOLVE_BATCH
-    tau, GATHER_ELEMENTS amplitudes gathered for its splits of psi and, with columns on a
-    part, 2^16 / d^2 tau, d the dimension of the largest such part.
+    and q is their minimum.  rows(taus, cols, lowest) yields (tau, table) per kernel call,
+    table the values of the columns asked for and no others; with lowest, pure_negativities'
+    screen leaves +inf in psi's columns above each row's lowest values, but keeps the fixed
+    split's column exact.  A call takes at most EVOLVE_BATCH tau, GATHER_ELEMENTS amplitudes
+    gathered for its splits of psi and, with columns on a part, 2^16 / d^2 tau, d the
+    dimension of the largest such part.
     """
     n, k, full = cfg.n_sites, cfg.initial_label.count("1"), (1 << cfg.n_sites) - 1
     fixed = cfg.fixed_bipartition or default_fixed_bipartition(n)
@@ -164,7 +166,7 @@ def _sweep_evaluator(cfg: SweepConfig):
                                                for a in range(1, (1 << s.bit_count()) - 1, 2)]}
     sector, w, v, c0 = sector_eigensystem(n, cfg.initial_label, cfg.profile)
 
-    def rows(taus: np.ndarray, cols: list[tuple[int, int]]):
+    def rows(taus: np.ndarray, cols: list[tuple[int, int]], lowest: int | None = None):
         pure = [j for j, (s, _) in enumerate(cols) if s == full]
         mixed = [(j, s, a) for j, (s, a) in enumerate(cols) if s != full]
         sizes = sorted({s.bit_count() for _, s, _ in mixed})
@@ -175,7 +177,7 @@ def _sweep_evaluator(cfg: SweepConfig):
             table = np.empty((len(amps), len(cols)))
             if pure:
                 table[:, pure] = entanglement.pure_negativities(
-                    amps, n, k, [cols[j][1] for j in pure])
+                    amps, n, k, [cols[j][1] for j in pure], lowest=lowest, exact=(fixed_mask,))
             if mixed:
                 psi = np.zeros((len(amps), 1 << n), dtype=np.complex128)
                 psi[:, sector] = amps
@@ -202,7 +204,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     picks = {name: [at[c] for c in reads[name]] for name in (MEBD, E1_FIXED, E_TILDE) if name in q}
     each = {f"p_{_column_label(cfg.n_sites, c)}": at[c] for c in splits if PER_PARTITION in q}
     records = []
-    for chunk, table in rows(cfg.grid(), cols):
+    for chunk, table in rows(cfg.grid(), cols, None if PER_PARTITION in q else 1):
         values = np.column_stack([table[:, j].min(axis=1) for j in picks.values()]
                                  + [table[:, [*each.values()]]])
         records += [SweepRecord(tau, dict(zip([*picks, *each], row)))
@@ -221,22 +223,27 @@ def first_maximum(cfg: SweepConfig, quantity: str = MEBD,
     until 2h <= REFINE_TOL (a kink comes out exact).  Each quantity is a minimum over
     its columns (_sweep_evaluator), so the rounds search R >= the curve, the minimum over
     candidates: the CANDIDATE_SPLITS lowest columns at each grid point of the cell, in the
-    scan's rows.  The full rows at b - h, b, b + h certify b: if b's has its minimum at a
-    candidate, curve(b) = R(b) >= max R >= max curve; else that column joins the candidates
-    and the search reruns.  Those rows' minimising columns are the report's splits, and the
-    grid point stays if nothing is higher.  Only quantity, in cfg and not per_partition, is read.
+    scan's rows, which the kernel's screen computes exactly up to those lowest values.  The
+    rows at b - h, b, b + h, exact up to their minimum, certify b: if b's has its minimum at
+    a candidate, curve(b) = R(b) >= max R >= max curve; else that column joins the
+    candidates and the search reruns.  Those rows' minimising columns are the report's
+    splits, and the grid point stays if nothing is higher.  Only quantity, in cfg and not
+    per_partition, is read; it and min_value are checked before the eigensolve.
     """
     if quantity not in cfg.quantities or quantity == PER_PARTITION:  # before the eigensolve
         raise ValueError(f"quantity {quantity!r} is not in the series")
+    if math.isnan(min_value):
+        raise ValueError("min_value must not be NaN")
     rows, reads = _sweep_evaluator(cfg)
     cols, half = reads[quantity], SEARCH_BATCH // 2
     taus, seen = cfg.grid(), np.empty((0, len(cols)))
 
-    def table(x: np.ndarray, cols: list[tuple[int, int]]) -> np.ndarray:  # every call's rows
-        return np.concatenate([t for _, t in rows(x, cols)])
+    def table(x: np.ndarray, cols: list[tuple[int, int]], lowest=None) -> np.ndarray:
+        return np.concatenate([t for _, t in rows(x, cols, lowest)])  # every call's rows
     for lo in range(0, len(taus), SEARCH_BATCH):  # the last two points are still open
         kept = taus[max(0, lo - 2):lo + SEARCH_BATCH].tolist()
-        seen = np.concatenate([seen[-2:], table(taus[lo:lo + SEARCH_BATCH], cols)])
+        batch = table(taus[lo:lo + SEARCH_BATCH], cols, CANDIDATE_SPLITS)
+        seen = np.concatenate([seen[-2:], batch])
         series = [SweepRecord(t, {quantity: v}) for t, v in zip(kept, seen.min(axis=1).tolist())]
         try:
             grid = find_first_maximum(series, quantity, min_value)
@@ -254,7 +261,7 @@ def first_maximum(cfg: SweepConfig, quantity: str = MEBD,
             fx = table(x, [cols[j] for j in cand]).min(axis=1)
             if fx.max() > fb:
                 b, fb = x[fx.argmax()], fx.max()
-        final = table(b + h * np.r_[-1:2], cols)  # the certificate: full rows at b - h, b, b + h
+        final = table(b + h * np.r_[-1:2], cols, 1)  # the certificate: rows at b - h, b, b + h
         low = final == final.min(axis=1, keepdims=True)
         if low[1, cand].any():
             break

@@ -11,13 +11,17 @@ full basis, one batched svd per block shape), mixed reduced states the blocks
 of their partial transposes, gathered straight from rho for every split and
 solved with one batched eigvalsh per block size (_negativities, on site
 masks, in excitation blocks or as one block), lower_estimates handing it the
-reduced states of one size as one stack.  Each public function checks its
-input on entry and raises ValueError for bad shapes or NaN/Inf
-(linalg.check_hermitian for a density matrix, _check_amplitudes for pure
-states); the kernels behind do not.  They bound their own temporaries
-(_schmidt_negativities' pair products, 2^15 floats at a time; _negativities'
-gathers, max(d^2, _GATHER_ENTRIES) entries per state per eigvalsh call), and
-dynamics._sweep_evaluator's batch rule sizes the stacks a sweep hands them.
+reduced states of one size as one stack.  A caller that needs only each
+row's lowest values (a minimum over splits) asks pure_negativities for them:
+a Renyi-2 bound from the blocks' Gram matrices then skips the svd of every
+split that provably lies above them, and leaves +inf there.  Each public
+function checks its input on entry and raises ValueError for bad shapes or
+NaN/Inf (linalg.check_hermitian for a density matrix, _check_amplitudes for
+pure states); the kernels behind do not.  They bound their own temporaries
+(_pair_sums' products, 2^15 floats at a time; _purity_bounds' gathers, 2^16
+amplitudes; _negativities' gathers, max(d^2, _GATHER_ENTRIES) entries per
+state per eigvalsh call), and dynamics._sweep_evaluator's batch rule sizes
+the stacks a sweep hands them.
 """
 
 from __future__ import annotations
@@ -177,21 +181,97 @@ def _schmidt_plan(n_sites: int, k: int, masks: tuple[int, ...]):
     return width, tuple(plan)
 
 
-def _schmidt_negativities(amps: np.ndarray, width: int, groups, splits: int) -> np.ndarray:
-    """The (T, splits) negativities of the Schmidt blocks that a gather plan takes from amps."""
-    s = np.zeros((len(amps), splits * width))
-    for index, slots in groups:
-        m = amps[:, index]
-        s[:, slots] = (np.linalg.norm(m, axis=-2) if index.shape[2] == 1
-                       else np.linalg.svd(m, compute_uv=False))
-    s = s.reshape(len(amps), splits, width)
-    out = np.empty(s.shape[:2])
-    step = max(1, (1 << 15) // max(1, len(amps) * width * width))  # splits per product: 256 KB
-    for lo in range(0, splits, step):
-        prod = s[:, lo:lo + step, :, None] * s[:, lo:lo + step, None, :]
+def _pair_sums(s: np.ndarray) -> np.ndarray:
+    """2 sum_{i<j} s_i s_j per row of (P, width) Schmidt values, less products <= the tol."""
+    width = s.shape[1]
+    out = np.empty(len(s))
+    step = max(1, (1 << 15) // (width * width))  # rows per product: 256 KB
+    for lo in range(0, len(s), step):
+        prod = s[lo:lo + step, :, None] * s[lo:lo + step, None, :]
         keep = np.triu(prod > linalg.ZERO_EIGENVALUE_TOL, 1)  # the pairs i < j
-        out[:, lo:lo + step] = 2.0 * np.add.reduce(prod, axis=(2, 3), where=keep)
+        out[lo:lo + step] = 2.0 * np.add.reduce(prod, axis=(1, 2), where=keep)
     return out
+
+
+def _norm_blocks(amps: np.ndarray, width: int, groups, splits: int):
+    """(s, blocks): the (T, splits, width) Schmidt values of the r x 1 blocks (norms, the rest
+    0), and the (index, slots) groups of the other blocks."""
+    s = np.zeros((len(amps), splits, width))
+    flat, blocks = s.reshape(len(amps), -1), []
+    for index, slots in groups:
+        if index.shape[2] == 1:
+            flat[:, slots] = np.linalg.norm(amps[:, index], axis=-2)
+        else:
+            blocks.append((index, slots))
+    return s, blocks
+
+
+def _schmidt_negativities(amps: np.ndarray, width: int, groups, splits: int,
+                          lowest: int | None = None, exact: Sequence[int] = ()) -> np.ndarray:
+    """The (T, splits) negativities of the Schmidt blocks that a gather plan takes from amps.
+
+    With lowest, pure_negativities' screen, unless it could skip no more splits than it
+    solves: 2 lowest or fewer, those in exact not counted.
+    """
+    s, blocks = _norm_blocks(amps, width, groups, splits)
+    if lowest is not None and 2 * lowest < splits and blocks:
+        free = np.zeros(splits, bool)  # the splits the screen may skip
+        for _, slots in blocks:
+            free[slots[:, 0] // width] = True
+        free[list(exact)] = False
+        if np.count_nonzero(free) > 2 * lowest:
+            return _screened_negativities(amps, s, blocks, free, lowest)
+    flat = s.reshape(len(amps), -1)
+    for index, slots in blocks:
+        flat[:, slots] = np.linalg.svd(amps[:, index], compute_uv=False)
+    return _pair_sums(s.reshape(-1, width)).reshape(s.shape[:2])
+
+
+def _screened_negativities(amps: np.ndarray, s: np.ndarray, blocks, free: np.ndarray,
+                           lowest: int) -> np.ndarray:
+    """pure_negativities' screen on _norm_blocks' (s, blocks): +inf where a split is skipped."""
+    flat, bound = s.reshape(len(amps), -1), _purity_bounds(amps, s, blocks)
+    out = np.full(s.shape[:2], np.inf)
+
+    def solve(need):  # the exact values of the (state, split) entries in need
+        for index, slots in blocks:
+            t, b = np.nonzero(need[:, slots[:, 0] // s.shape[2]])
+            if len(t):
+                flat[t[:, None], slots[b]] = np.linalg.svd(amps[t[:, None, None], index[b]],
+                                                           compute_uv=False)
+        out[need] = _pair_sums(s[need])
+
+    key = np.where(free, bound, -np.inf)  # the other splits first, then the lowest bounds
+    last = len(free) - np.count_nonzero(free) + lowest - 1
+    need = key <= np.partition(key, last, axis=1)[:, last, None]
+    solve(need)
+    solve(~need & (bound <= np.partition(out, lowest - 1, axis=1)[:, lowest - 1, None]))
+    return out
+
+
+def _purity_bounds(amps: np.ndarray, s: np.ndarray, blocks) -> np.ndarray:
+    """(T, splits) Renyi-2 bounds on the kernel's values less their slack, from _norm_blocks'
+    (s, blocks); -inf where a zero or overflowing state gives none."""
+    width = s.shape[2]
+    n2 = np.einsum("ij,ij->i", amps.conj(), amps).real[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = amps / np.sqrt(n2)  # the purity of psi / |psi|: no s^4 leaves the float range
+        s2 = s * s / n2[..., None]
+        purity = np.einsum("tsw,tsw->ts", s2, s2)
+        for index, slots in blocks:
+            step = max(1, (1 << 16) // (len(amps) * index[0].size))  # blocks per gather: 1 MB
+            for lo in range(0, len(index), step):
+                # M as reals, columns (Re, Im) of each: H = M^T M holds G = M^dagger M.
+                m = np.take(unit, index[lo:lo + step], axis=1).view(float)
+                h = np.matmul(m.swapaxes(-1, -2), m).reshape(m.shape[:-2] + (index.shape[2], 2) * 2)
+                re, im = h[..., 0, :, 0] + h[..., 1, :, 1], h[..., 0, :, 1] - h[..., 1, :, 0]
+                np.add.at(purity.T, slots[lo:lo + step, 0] // width,
+                          (re * re + im * im).sum(axis=(-2, -1)).T)
+        slack = (width * (width - 1) * linalg.ZERO_EIGENVALUE_TOL  # pure_negativities derives it
+                 + 5 * amps.shape[1] * width ** 2 * np.finfo(float).eps * n2)
+        bound = n2 * (1 / purity - 1) - slack
+    bound[~np.isfinite(bound)] = -np.inf
+    return bound
 
 
 def _check_amplitudes(amps, size: int) -> np.ndarray:
@@ -203,7 +283,8 @@ def _check_amplitudes(amps, size: int) -> np.ndarray:
     return amps
 
 
-def pure_negativities(amps: np.ndarray, n_sites: int, k: int, masks: Iterable[int]) -> np.ndarray:
+def pure_negativities(amps: np.ndarray, n_sites: int, k: int, masks: Iterable[int],
+                      lowest: int | None = None, exact: Iterable[int] = ()) -> np.ndarray:
     """double_negativity of each pure state of a (T, C(N,k)) sector stack per split mask.
 
     |psi><psi|^{T_A} has the negative eigenvalues -s_i s_j (i < j) of the
@@ -212,11 +293,30 @@ def pure_negativities(amps: np.ndarray, n_sites: int, k: int, masks: Iterable[in
     0.0.  One batched svd per block shape of _schmidt_plan (a norm for r x 1
     blocks) serves all splits and all T states, T * len(masks) * C(N,k)
     gathered amplitudes, so the caller bounds T; the result is (T, len(masks)).
+
+    lowest (default: all) asks for each row's lowest values only.  With n2 =
+    sum_i s_i^2 and the purity P = Tr rho_A^2 = sum_j ||M_j^dagger M_j||_F^2 of
+    the split's blocks M_j (one Gram pass, no svd), Renyi entropies, which do not
+    grow with their order (Renyi 1961), give N >= n2^3 / P - n2.  Exact are the
+    splits with no block of two or more columns, the masks in exact, the lowest
+    splits of lowest bound, then every split whose bound less the slack
+    w (w - 1) ZERO_EIGENVALUE_TOL + 5 d w^2 eps n2 (w the plan's width, d =
+    C(N,k): at most w (w - 1) / 2 dropped pairs 2 s_i s_j, and first-order
+    rounding of 2 d w^2 eps n2 in the Gram pass and in the svd, d w^2 eps n2 in
+    the sums) is at or below the row's lowest-th exact value.  The rest is +inf
+    and provably above them: a row's lowest values, and values tied with them,
+    are == to the full table's, from at most two svd calls per block shape.
+    With 2 lowest or fewer splits to skip, the full table is computed.
     """
     masks = tuple(masks)
     plan = _schmidt_plan(n_sites, k, masks)
     amps = _check_amplitudes(amps, math.comb(n_sites, k))
-    return _schmidt_negativities(amps, *plan, len(masks))
+    if lowest is not None and (isinstance(lowest, bool) or not isinstance(lowest, numbers.Integral)
+                               or lowest < 1):
+        raise ValueError(f"lowest must be a positive integer or None, got {lowest!r}")
+    exact = set(exact)
+    return _schmidt_negativities(amps, *plan, len(masks), lowest,
+                                 [j for j, mask in enumerate(masks) if mask in exact])
 
 
 def _schmidt_index(n_sites: int, mask: int) -> np.ndarray:

@@ -195,14 +195,18 @@ class TestRunSweep:
     def test_one_svd_per_block_shape(self, monkeypatch):
         # One batch of an N=8, k=4 sweep: the 127 splits' Schmidt blocks
         # C(|A|,j) x C(8-|A|,4-j) come in four shapes with two or more singular
-        # values, (20,2), (10,3), (4,4) and (6,6); each is one svd call (r x 1
-        # blocks take a norm).  e1_fixed's eigvalsh calls do not grow with the
-        # number of tau points in the batch.
+        # values, (20,2), (10,3), (4,4) and (6,6) (r x 1 blocks take a norm).
+        # The screen makes at most two svd calls per shape: the splits of
+        # lowest bound and the fixed split, then those within reach of the
+        # row's minimum.  e1_fixed's eigvalsh calls do not grow with the number
+        # of tau points in the batch.
         calls = {"svd": 0, "eigvalsh": 0}
+        matrices = []
         for name in calls:
-            def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            def counted(a, *args, _name=name, _call=getattr(np.linalg, name), **kwargs):
                 calls[_name] += 1
-                return _call(*args, **kwargs)
+                matrices.append(math.prod(a.shape[:-2]) if _name == "svd" else 0)
+                return _call(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         shapes = {tuple(sorted((math.comb(a, j), math.comb(8 - a, 4 - j))))
@@ -216,8 +220,33 @@ class TestRunSweep:
             assert len(run_sweep(cfg)) == points
             counts.append(dict(calls))
         assert counts[0] == counts[1]
-        assert counts[0]["svd"] == 4
+        assert counts[0]["svd"] == 8
         assert counts[0]["eigvalsh"] > 0
+        # The benchmark's sweep-n8 call (4 tau) hands svd 125 Schmidt blocks,
+        # where the unscreened table takes 4 x (28 + 112 + 70 + 35) = 980.
+        matrices.clear()
+        run_sweep(SweepConfig(8, "10011001", tau_start=0.5, tau_end=2.3, tau_step=0.6,
+                              quantities=(MEBD, E1_FIXED, E_TILDE)))
+        assert sum(matrices) == 125
+
+    def test_screened_records_match_the_full_table(self):
+        # Without per_partition the sweep screens psi's splits down to each row's
+        # minimum; with it every split is computed.  On the benchmark's N=8 grid
+        # the three quantities agree bit for bit for every half-filled label, and
+        # mebd is the least p_ column.
+        labels = [format(i, "08b") for i in range(256) if i.bit_count() == 4]
+        assert len(labels) == 70
+        grid = dict(tau_start=0.5, tau_end=2.3, tau_step=0.6)
+        for label in labels:
+            quantities = (MEBD, E1_FIXED, E_TILDE)
+            screened = run_sweep(SweepConfig(8, label, **grid, quantities=quantities))
+            full = run_sweep(SweepConfig(8, label, **grid, quantities=(*quantities, PER_PARTITION)))
+            assert len(screened) == len(full) == 4
+            for rec, ref in zip(screened, full):
+                assert rec.tau == ref.tau
+                assert rec.values == {q: ref.values[q] for q in quantities}
+                assert ref.values[MEBD] == min(v for q, v in ref.values.items()
+                                               if q.startswith("p_"))
 
     def test_product_state_at_tau_zero(self):
         # At tau = 0 the basis state is a product across every split.  The
@@ -321,10 +350,10 @@ class TestRunSweep:
         gathers, stacks = [], []
         pure, mixed = entanglement.pure_negativities, entanglement._negativities
 
-        def pure_counted(amps, n_sites, k, masks):
+        def pure_counted(amps, n_sites, k, masks, **screen):
             masks = tuple(masks)
             gathers.append(len(amps) * len(masks) * amps.shape[1])
-            return pure(amps, n_sites, k, masks)
+            return pure(amps, n_sites, k, masks, **screen)
 
         def mixed_counted(rho, masks):
             stacks.append(rho.size)
@@ -393,7 +422,7 @@ class TestRunSweep:
         points = data.draw(st.integers(1, 4), label="points")
         fixed = Bipartition.from_masks(n, mask_a)
         cfg = SweepConfig(n, label, tau_start=tau_start, tau_end=tau_start + 0.3 * points - 0.15,
-                          tau_step=0.3, quantities=(E1_FIXED,), fixed_bipartition=fixed)
+                          tau_step=0.3, quantities=(MEBD, E1_FIXED), fixed_bipartition=fixed)
         records = run_sweep(cfg)
         assert len(records) == points
         for rec, psi in zip(records, evolve_full(n, label, cfg.grid())):
@@ -519,7 +548,7 @@ class TestFirstMaximum:
 
         def watched(cfg):
             rows, reads = prepare(cfg)
-            return (lambda taus, cols: asked.append(taus) or rows(taus, cols)), reads
+            return (lambda taus, cols, *a: asked.append(taus) or rows(taus, cols, *a)), reads
 
         monkeypatch.setattr(dynamics, "_sweep_evaluator", watched)
         cfg = SweepConfig(6, "100110", tau_end=3.0, tau_step=0.05,
@@ -558,6 +587,16 @@ class TestFirstMaximum:
         assert len(scans) == 3
         assert all(r.values == {MEBD: swept[r.tau]} for series in scans for r in series)
 
+    def test_nan_min_value_fails_before_the_eigensolve(self, monkeypatch):
+        # Beside the quantity check: H is never built for a NaN min_value.
+        def refused(*args):
+            raise AssertionError("build_hdz called")
+
+        monkeypatch.setattr(dynamics, "build_hdz", refused)
+        cfg = SweepConfig(8, "10011001", tau_end=3.0, tau_step=0.05)
+        with pytest.raises(ValueError, match="min_value must not be NaN"):
+            first_maximum(cfg, MEBD, math.nan)
+
     def test_scan_checks_kept(self):
         cfg = SweepConfig(3, "010", tau_end=3.0, tau_step=0.05, quantities=(MEBD,))
         with pytest.raises(ValueError, match="min_value") as exc:
@@ -572,8 +611,8 @@ class TestFirstMaximum:
 def kernel_calls(monkeypatch):
     """(states, masks) of each pure_negativities call, in call order."""
     calls, kernel = [], entanglement.pure_negativities
-    monkeypatch.setattr(entanglement, "pure_negativities", lambda amps, n, k, masks: (
-        calls.append((len(amps), len(masks))) or kernel(amps, n, k, masks)))
+    monkeypatch.setattr(entanglement, "pure_negativities", lambda amps, n, k, masks, **screen: (
+        calls.append((len(amps), len(masks))) or kernel(amps, n, k, masks, **screen)))
     return calls
 
 

@@ -178,12 +178,13 @@ def test_drop_contract_at_its_threshold(ab):
     a, b = ab, 1.0
     psi = np.array([0.0, a, b, 0.0])
     got = [pure_negativities([[a, b]], 2, 1, [1])[0, 0],
+           pure_negativities([[a, b]], 2, 1, [1], lowest=1)[0, 0],
            pure_double_negativity(psi[None], split(2, [1]))[0],
            double_negativity(pure_density(psi), split(2, [1]))]
     if ab > linalg.ZERO_EIGENVALUE_TOL:
-        assert got == [pytest.approx(2 * a * b, rel=1e-12)] * 3
+        assert got == [pytest.approx(2 * a * b, rel=1e-12)] * 4
     else:
-        assert got == [0.0] * 3
+        assert got == [0.0] * 4
 
 
 def _product_state(rng, n):
@@ -500,6 +501,64 @@ def test_sector_blocks_match_dense_oracle(n, k):
     assert np.all(table[2] == 0.0)
 
 
+@st.composite
+def screen_cases(draw):
+    """A stack of sector states on N=2..8 sites, any k: random states, states that are a
+    product across one split, basis states, and basis states with an admixture near
+    ZERO_EIGENVALUE_TOL."""
+    n = draw(st.integers(2, 8), label="n")
+    k = draw(st.integers(0, n), label="k")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    parts = enumerate_bipartitions(n)
+    sector = excitation_sector(n, k)
+    psis = []
+    for kind in draw(st.lists(st.sampled_from(["random", "product", "basis", "near"]),
+                              min_size=1, max_size=4), label="kinds"):
+        psi = np.zeros(1 << n, dtype=np.complex128)
+        psi[int(rng.choice(sector))] = 1.0
+        if kind == "random":
+            psi = random_sector_state(rng, n, k)
+        elif kind == "product":
+            psi = product_across(rng, parts[int(rng.integers(len(parts)))], k)
+        elif kind == "near":  # Schmidt products about eps x 1: near the drop threshold
+            eps = draw(st.sampled_from([3e-13, 1e-12, 2e-12, 1e-11, 1e-9]), label="eps")
+            psi = psi + eps * random_sector_state(rng, n, k)
+            psi /= np.linalg.norm(psi)
+        psis.append(psi[sector])
+    return n, k, np.array(psis)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(screen_cases())
+def test_screen_keeps_the_lowest_values(case):
+    # The purity bound, less its slack, never exceeds a split's value: the Schmidt
+    # kernel's for every split, the dense oracle's for a few.  A screened row is
+    # == to the full row at its `lowest` lowest values and every value tied with
+    # them, and +inf or == elsewhere; a skipped entry lies above them.  Product
+    # states give exactly 0.0.
+    n, k, amps = case
+    masks = [p.part_a.mask for p in enumerate_bipartitions(n)]
+    full = pure_negativities(amps, n, k, masks)
+    plan = entanglement._schmidt_plan(n, k, tuple(masks))
+    bound = entanglement._purity_bounds(amps, *entanglement._norm_blocks(amps, *plan, len(masks)))
+    assert np.all(bound <= full)
+    rng = np.random.default_rng(len(masks))
+    for state, psi in enumerate(amps):
+        rho = np.zeros(1 << n, dtype=np.complex128)
+        rho[excitation_sector(n, k)] = psi
+        rho = pure_density(rho)
+        for j in rng.choice(len(masks), size=min(3, len(masks)), replace=False):
+            assert bound[state, j] <= dense_negativity(rho, Bipartition.from_masks(n, masks[j]))
+    for lowest in (1, 2, 4):
+        got = pure_negativities(amps, n, k, masks, lowest=lowest)
+        kth = np.sort(full, axis=1)[:, min(lowest, len(masks)) - 1, None]
+        assert np.all((got == full) | (got == np.inf))
+        assert np.array_equal(got[full <= kth], full[full <= kth])
+        assert np.all(full[got == np.inf] > np.broadcast_to(kth, full.shape)[got == np.inf])
+        basis = np.count_nonzero(amps, axis=1) == 1
+        assert np.all(got[basis] == 0.0)
+
+
 class TestPureKernelInput:
     # The k=2 sector amplitudes of an evolved N=4 state, and the same state in the full basis.
     @pytest.fixture
@@ -545,6 +604,11 @@ class TestPureKernelInput:
         p = split(4, [1, 2])
         assert np.array_equal(pure_double_negativity(psi.tolist(), p),
                               pure_double_negativity(psi, p))
+
+    @pytest.mark.parametrize("lowest", [0, -1, 1.5, True, "2"])
+    def test_lowest_not_a_count(self, amps, lowest):
+        with pytest.raises(ValueError, match="lowest must be a positive integer or None"):
+            pure_negativities(amps, 4, 2, [1, 3, 5], lowest=lowest)
 
     @pytest.mark.parametrize("dtype", [str, bool, object])
     def test_non_numeric_amplitudes(self, psi, amps, dtype):
