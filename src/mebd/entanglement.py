@@ -5,18 +5,19 @@ of the negative eigenvalues of rho^{T_A}.  MEBD is the minimum of N over all
 2^(N-1)-1 bipartitions of the chain; the single-node witness and the recursive
 level-k estimators bracket it from above and below.
 
-There is one kernel per kind of state: pure states use their Schmidt values
-(pure_negativities from sector amplitudes, pure_double_negativity from the
-full basis, one batched svd per block shape), mixed reduced states the blocks
-of their partial transposes, gathered straight from rho for every split and
-solved with one batched eigvalsh per block size (_negativities, on site
-masks, in excitation blocks or as one block), lower_estimates handing it the
-reduced states of one size as one stack.  A caller that needs only each
-row's lowest values (a minimum over splits) asks pure_negativities for them:
-a Renyi-2 bound from the blocks' Gram matrices then skips the svd of every
-split that provably lies above them, and leaves +inf there.  Each public
-function checks its input on entry and raises ValueError for bad shapes or
-NaN/Inf (linalg.check_hermitian for a density matrix, _check_amplitudes for
+There is one kernel per kind of state.  Pure states use their Schmidt values:
+_schmidt_negativities, one batched svd per block shape, on the cached
+_schmidt_plan (its norms, the r x 1 blocks, alone give the splits it marks
+direct) or on pure_double_negativity's one full-basis block.  Mixed reduced
+states use the blocks of their partial transposes, gathered straight from rho
+for every split and solved with one batched eigvalsh per block size
+(_negativities, on site masks, in excitation blocks or as one block);
+lower_estimates hands it the reduced states of one size as one stack.  Asked
+for each row's lowest values only, _schmidt_negativities skips the svd of
+every split that a Renyi-2 bound from the blocks' Gram matrices puts provably
+above them, and leaves +inf there.  Each public function checks its input on
+entry and raises ValueError for bad shapes or NaN/Inf (linalg.check_hermitian
+for a density matrix; _check_amplitudes, which converts to complex128, for
 pure states); the kernels behind do not.  They bound their own temporaries
 (_pair_sums' products, 2^15 floats at a time; _purity_bounds' gathers, 2^16
 amplitudes; _negativities' gathers, max(d^2, _GATHER_ENTRIES) entries per
@@ -143,14 +144,15 @@ def double_negativity(rho: np.ndarray, p: Bipartition) -> float:
 
 @functools.lru_cache(maxsize=16)
 def _schmidt_plan(n_sites: int, k: int, masks: tuple[int, ...]):
-    """Gather plan of the Schmidt blocks of each split, A given by its mask: (width, groups).
+    """Gather plan of the Schmidt blocks per split (A its mask): (width, norms, blocks, direct).
 
     On the k-excitation sector the Schmidt matrix of A|B is block diagonal in j,
     the excitations in A, with C(|A|,j) x C(|B|,k-j) blocks (Singh, Pfeifer and
-    Vidal, PRA 83, 115125, 2011).  groups holds one (index, slots) per block
-    shape r >= c: index (count, r, c) gathers the blocks from the sector
-    amplitudes, slots (count, c) place their singular values in a (len(masks),
-    width) table.
+    Vidal, PRA 83, 115125, 2011).  norms (the r x 1 blocks) and blocks (the rest)
+    hold one (index, slots) per block shape r >= c: index (count, r, c) gathers the
+    blocks from the sector amplitudes, slots (count, c) place their singular values
+    in a (len(masks), width) table.  direct marks the splits with no block of two or
+    more columns: norms alone give them, so _schmidt_negativities never screens them.
     """
     if not masks or not all(0 < m < (1 << n_sites) - 1 for m in masks):
         raise ValueError(f"masks must name one or more splits of {n_sites} sites, got {masks}")
@@ -159,6 +161,7 @@ def _schmidt_plan(n_sites: int, k: int, masks: tuple[int, ...]):
     in_a = (np.array(masks)[:, None] >> np.arange(n_sites) & 1).astype(bool)  # column s-1: site s
     bit = np.broadcast_to(1 << (n_sites - 1 - np.arange(n_sites)), in_a.shape)  # its basis bit
     sizes, width, groups = in_a.sum(axis=1), 0, {}
+    direct = np.ones(len(masks), bool)
     for a in set(sizes.tolist()):
         at = np.flatnonzero(sizes == a)
         # Each configuration of A (of B), first site most significant, as basis bits per split.
@@ -174,11 +177,14 @@ def _schmidt_plan(n_sites: int, k: int, masks: tuple[int, ...]):
                 index = index.transpose(0, 2, 1)
             groups.setdefault(index.shape[1:], []).append((index, at, offset))
             offset += index.shape[2]
+            direct[at] &= index.shape[2] == 1
         width = max(width, offset)
-    plan = ((np.concatenate([i for i, _, _ in g]),
+    plan = [(np.concatenate([i for i, _, _ in g]),
              np.concatenate([r[:, None] * width + o + np.arange(i.shape[2]) for i, r, o in g]))
-            for g in groups.values())
-    return width, tuple(plan)
+            for g in groups.values()]
+    direct.setflags(write=False)  # the cache hands it to every caller
+    return (width, tuple(p for p in plan if p[0].shape[2] == 1),
+            tuple(p for p in plan if p[0].shape[2] > 1), direct)
 
 
 def _pair_sums(s: np.ndarray) -> np.ndarray:
@@ -193,49 +199,30 @@ def _pair_sums(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _norm_blocks(amps: np.ndarray, width: int, groups, splits: int):
-    """(s, blocks): the (T, splits, width) Schmidt values of the r x 1 blocks (norms, the rest
-    0), and the (index, slots) groups of the other blocks."""
-    s = np.zeros((len(amps), splits, width))
-    flat, blocks = s.reshape(len(amps), -1), []
-    for index, slots in groups:
-        if index.shape[2] == 1:
-            flat[:, slots] = np.linalg.norm(amps[:, index], axis=-2)
-        else:
-            blocks.append((index, slots))
-    return s, blocks
-
-
-def _schmidt_negativities(amps: np.ndarray, width: int, groups, splits: int,
+def _schmidt_negativities(amps: np.ndarray, width: int, norms, blocks, direct: np.ndarray,
                           lowest: int | None = None, exact: Sequence[int] = ()) -> np.ndarray:
-    """The (T, splits) negativities of the Schmidt blocks that a gather plan takes from amps.
+    """The (T, splits) negativities of the Schmidt blocks that a _schmidt_plan takes from amps.
 
-    With lowest, pure_negativities' screen, unless it could skip no more splits than it
-    solves: 2 lowest or fewer, those in exact not counted.
+    With lowest, pure_negativities' screen, +inf where a split is skipped, unless it could
+    skip 2 lowest splits or fewer (not direct, not in exact): then, as without, the full table.
     """
-    s, blocks = _norm_blocks(amps, width, groups, splits)
-    if lowest is not None and 2 * lowest < splits and blocks:
-        free = np.zeros(splits, bool)  # the splits the screen may skip
-        for _, slots in blocks:
-            free[slots[:, 0] // width] = True
-        free[list(exact)] = False
-        if np.count_nonzero(free) > 2 * lowest:
-            return _screened_negativities(amps, s, blocks, free, lowest)
+    s = np.zeros((len(amps), len(direct), width))
     flat = s.reshape(len(amps), -1)
-    for index, slots in blocks:
-        flat[:, slots] = np.linalg.svd(amps[:, index], compute_uv=False)
-    return _pair_sums(s.reshape(-1, width)).reshape(s.shape[:2])
-
-
-def _screened_negativities(amps: np.ndarray, s: np.ndarray, blocks, free: np.ndarray,
-                           lowest: int) -> np.ndarray:
-    """pure_negativities' screen on _norm_blocks' (s, blocks): +inf where a split is skipped."""
-    flat, bound = s.reshape(len(amps), -1), _purity_bounds(amps, s, blocks)
-    out = np.full(s.shape[:2], np.inf)
+    for index, slots in norms:
+        flat[:, slots] = np.linalg.norm(amps[:, index], axis=-2)
+    if screen := bool(blocks) and lowest is not None and 2 * lowest < len(direct):
+        free = ~direct  # the splits the screen may skip
+        free[list(exact)] = False
+        screen = np.count_nonzero(free) > 2 * lowest
+    if not screen:
+        for index, slots in blocks:
+            flat[:, slots] = np.linalg.svd(amps[:, index], compute_uv=False)
+        return _pair_sums(s.reshape(-1, width)).reshape(s.shape[:2])
+    bound, out = _purity_bounds(amps, s, blocks), np.full(s.shape[:2], np.inf)
 
     def solve(need):  # the exact values of the (state, split) entries in need
         for index, slots in blocks:
-            t, b = np.nonzero(need[:, slots[:, 0] // s.shape[2]])
+            t, b = np.nonzero(need[:, slots[:, 0] // width])
             if len(t):
                 flat[t[:, None], slots[b]] = np.linalg.svd(amps[t[:, None, None], index[b]],
                                                            compute_uv=False)
@@ -250,8 +237,8 @@ def _screened_negativities(amps: np.ndarray, s: np.ndarray, blocks, free: np.nda
 
 
 def _purity_bounds(amps: np.ndarray, s: np.ndarray, blocks) -> np.ndarray:
-    """(T, splits) Renyi-2 bounds on the kernel's values less their slack, from _norm_blocks'
-    (s, blocks); -inf where a zero or overflowing state gives none."""
+    """(T, splits) Renyi-2 bounds on the kernel's values less their slack, from the plan's
+    blocks and s, its norms' values; -inf where a zero or overflowing state gives none."""
     width = s.shape[2]
     n2 = np.einsum("ij,ij->i", amps.conj(), amps).real[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -275,12 +262,13 @@ def _purity_bounds(amps: np.ndarray, s: np.ndarray, blocks) -> np.ndarray:
 
 
 def _check_amplitudes(amps, size: int) -> np.ndarray:
-    """np.asarray(amps), so lists pass; ValueError unless a finite (T, size) stack of numbers."""
+    """amps as complex128, the precision the kernels' slack is derived for (lists pass);
+    ValueError unless a finite (T, size) stack of numbers."""
     if (amps := np.asarray(amps)).dtype.kind not in "iufc":  # no str, bool or object
         raise ValueError(f"amplitudes must be numbers, got dtype {amps.dtype}")
     if amps.ndim != 2 or amps.shape[1] != size or not np.all(np.isfinite(amps)):
         raise ValueError(f"amplitudes must be a finite (T, {size}) stack, got shape {amps.shape}")
-    return amps
+    return amps.astype(np.complex128, copy=False)
 
 
 def pure_negativities(amps: np.ndarray, n_sites: int, k: int, masks: Iterable[int],
@@ -315,8 +303,8 @@ def pure_negativities(amps: np.ndarray, n_sites: int, k: int, masks: Iterable[in
                                or lowest < 1):
         raise ValueError(f"lowest must be a positive integer or None, got {lowest!r}")
     exact = set(exact)
-    return _schmidt_negativities(amps, *plan, len(masks), lowest,
-                                 [j for j, mask in enumerate(masks) if mask in exact])
+    exact = [j for j, mask in enumerate(masks) if mask in exact] if lowest else ()
+    return _schmidt_negativities(amps, *plan, lowest, exact)
 
 
 def _schmidt_index(n_sites: int, mask: int) -> np.ndarray:
@@ -336,8 +324,8 @@ def pure_double_negativity(psis: np.ndarray, p: Bipartition) -> np.ndarray:
     psis = _check_amplitudes(psis, 1 << p.n_sites)
     m = _schmidt_index(p.n_sites, p.part_a.mask)
     m = m if len(m) >= m.shape[1] else m.T  # tall, as in _schmidt_plan
-    slots = np.arange(m.shape[1])[None]
-    return _schmidt_negativities(psis, m.shape[1], [(m[None], slots)], 1)[:, 0]
+    blocks = ((m[None], np.arange(m.shape[1])[None]),)
+    return _schmidt_negativities(psis, m.shape[1], (), blocks, np.zeros(1, bool))[:, 0]
 
 
 def pairwise_negativity(rho: np.ndarray, parts: list[SiteSet], i: int, j: int) -> float:

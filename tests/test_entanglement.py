@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mebd import entanglement, linalg
+from mebd import dynamics, entanglement, linalg
 from mebd.entanglement import (
     double_negativity,
     enumerate_bipartitions,
@@ -539,8 +539,11 @@ def test_screen_keeps_the_lowest_values(case):
     n, k, amps = case
     masks = [p.part_a.mask for p in enumerate_bipartitions(n)]
     full = pure_negativities(amps, n, k, masks)
-    plan = entanglement._schmidt_plan(n, k, tuple(masks))
-    bound = entanglement._purity_bounds(amps, *entanglement._norm_blocks(amps, *plan, len(masks)))
+    width, norms, blocks, _ = entanglement._schmidt_plan(n, k, tuple(masks))
+    s = np.zeros((len(amps), len(masks), width))  # the norms' Schmidt values, 0 elsewhere
+    for index, slots in norms:
+        s.reshape(len(amps), -1)[:, slots] = np.linalg.norm(amps[:, index], axis=-2)
+    bound = entanglement._purity_bounds(amps, s, blocks)
     assert np.all(bound <= full)
     rng = np.random.default_rng(len(masks))
     for state, psi in enumerate(amps):
@@ -557,6 +560,36 @@ def test_screen_keeps_the_lowest_values(case):
         assert np.all(full[got == np.inf] > np.broadcast_to(kth, full.shape)[got == np.inf])
         basis = np.count_nonzero(amps, axis=1) == 1
         assert np.all(got[basis] == 0.0)
+
+
+@pytest.mark.parametrize("dtype", [int, np.float64, np.float32, np.complex64])
+def test_screen_takes_any_numeric_dtype(dtype):
+    # Integer, real and single-precision stacks run in complex128, the precision the
+    # screen's slack is derived for: no error, and each row's minimum is == to the full
+    # table of the complex128 cast.
+    rng = np.random.default_rng(6)
+    amps = (rng.normal(size=(3, 20)) * 4).astype(dtype)
+    if np.dtype(dtype).kind == "c":
+        amps += 1j * rng.normal(size=(3, 20)).astype(dtype)
+    masks = range(1, 63, 2)
+    got = pure_negativities(amps, 6, 3, masks, lowest=1)
+    full = pure_negativities(amps.astype(np.complex128), 6, 3, masks)
+    assert np.array_equal(got.min(axis=1), full.min(axis=1))
+
+
+@pytest.mark.parametrize("label, gram_passes", [("1001", 0), ("100110", 1)])
+def test_screen_runs_only_where_it_can_skip(monkeypatch, label, gram_passes):
+    # table1's N=4 row has 3 splits with a block of two or more columns, one of them the
+    # fixed split, so the screen could skip 2 = 2 lowest: the full table, no Gram pass.
+    # At N=6, 24 splits could be skipped: one Gram pass.
+    n, calls, bounds = len(label), [], entanglement._purity_bounds
+    monkeypatch.setattr(entanglement, "_purity_bounds", lambda *a: calls.append(a) or bounds(*a))
+    amps = evolve_full(n, label, [1.0])[:, excitation_sector(n, n // 2)]
+    fixed = dynamics.default_fixed_bipartition(n).part_a.mask
+    masks = range(1, (1 << n) - 1, 2)
+    got = pure_negativities(amps, n, n // 2, masks, lowest=1, exact=(fixed,))
+    assert len(calls) == gram_passes
+    assert got.min() == pure_negativities(amps, n, n // 2, masks).min()
 
 
 class TestPureKernelInput:
