@@ -116,7 +116,7 @@ def sector_eigensystem(n_sites: int, initial_label: str,
     start = basis_index(initial_label)  # a 0/1 label, checked before the eigensolve
     w, v = np.linalg.eigh(build_hdz(n_sites, start.bit_count(), profile))
     sector = excitation_sector(n_sites, start.bit_count())
-    return sector, w, v, v[sector.index(start)]
+    return sector, w, v.astype(np.complex128), v[sector.index(start)]  # amplitudes needs complex v
 
 
 def amplitudes(w: np.ndarray, v: np.ndarray, c0: np.ndarray, taus) -> np.ndarray:

@@ -6,23 +6,22 @@ of the negative eigenvalues of rho^{T_A}.  MEBD is the minimum of N over all
 level-k estimators bracket it from above and below.
 
 There is one kernel per kind of state.  Pure states use their Schmidt values:
-_schmidt_negativities, one batched svd per block shape, on the cached
-_schmidt_plan (its norms, the r x 1 blocks, alone give the splits it marks
-direct) or on pure_double_negativity's one full-basis block.  Mixed reduced
-states use the blocks of their partial transposes, gathered straight from rho
-for every split and solved with one batched eigvalsh per block size
-(_negativities, on site masks, in excitation blocks or as one block);
-lower_estimates hands it the reduced states of one size as one stack.  Asked
-for each row's lowest values only, _schmidt_negativities skips the svd of
-every split that a Renyi-2 bound from the blocks' Gram matrices puts provably
-above them, and leaves +inf there.  Each public function checks its input on
-entry and raises ValueError for bad shapes or NaN/Inf (linalg.check_hermitian
-for a density matrix; _check_amplitudes, which converts to complex128, for
-pure states); the kernels behind do not.  They bound their own temporaries
-(_pair_sums' products, 2^15 floats at a time; _purity_bounds' gathers, 2^16
-amplitudes; _negativities' gathers, max(d^2, _GATHER_ENTRIES) entries per
-state per eigvalsh call), and dynamics._sweep_evaluator's batch rule sizes
-the stacks a sweep hands them.
+_schmidt_negativities, one batched svd per block shape (a norm for r x 1
+blocks), on the cached _schmidt_plan or on pure_double_negativity's one
+full-basis block.  Mixed reduced states use the blocks of their partial
+transposes, gathered straight from rho for every split and solved with one
+batched eigvalsh per block size (_negativities, on site masks, in excitation
+blocks or as one block); lower_estimates hands it the reduced states of one
+size as one stack.  Asked for each row's lowest values only,
+_schmidt_negativities skips the svd of every split that a bound from its
+blocks' norms puts provably above them: +inf there.  Each public function
+checks its input on entry and raises ValueError for bad shapes or NaN/Inf
+(linalg.check_hermitian for a density matrix; _check_amplitudes, which
+converts to complex128, for pure states); the kernels behind do not.  They
+bound their own temporaries (_pair_sums' products, 2^15 floats at a time;
+_negativities' gathers, max(d^2, _GATHER_ENTRIES) entries per state per
+eigvalsh call), and dynamics._sweep_evaluator's batch rule sizes the stacks a
+sweep hands them.
 """
 
 from __future__ import annotations
@@ -218,7 +217,7 @@ def _schmidt_negativities(amps: np.ndarray, width: int, norms, blocks, direct: n
         for index, slots in blocks:
             flat[:, slots] = np.linalg.svd(amps[:, index], compute_uv=False)
         return _pair_sums(s.reshape(-1, width)).reshape(s.shape[:2])
-    bound, out = _purity_bounds(amps, s, blocks), np.full(s.shape[:2], np.inf)
+    bound, out = _norm_bounds(amps, s, blocks), np.full(s.shape[:2], np.inf)
 
     def solve(need):  # the exact values of the (state, split) entries in need
         for index, slots in blocks:
@@ -236,29 +235,17 @@ def _schmidt_negativities(amps: np.ndarray, width: int, norms, blocks, direct: n
     return out
 
 
-def _purity_bounds(amps: np.ndarray, s: np.ndarray, blocks) -> np.ndarray:
-    """(T, splits) Renyi-2 bounds on the kernel's values less their slack, from the plan's
-    blocks and s, its norms' values; -inf where a zero or overflowing state gives none."""
-    width = s.shape[2]
-    n2 = np.einsum("ij,ij->i", amps.conj(), amps).real[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        unit = amps / np.sqrt(n2)  # the purity of psi / |psi|: no s^4 leaves the float range
-        s2 = s * s / n2[..., None]
-        purity = np.einsum("tsw,tsw->ts", s2, s2)
+def _norm_bounds(amps: np.ndarray, s: np.ndarray, blocks) -> np.ndarray:
+    """(T, splits) (sum_j ||M_j||_F)^2 - n2 less pure_negativities' slack; -inf on overflow."""
+    width, total = s.shape[2], s.sum(axis=2)  # s: the r x 1 blocks' norms; then the others'
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = amps.real ** 2 + amps.imag ** 2
         for index, slots in blocks:
-            step = max(1, (1 << 16) // (len(amps) * index[0].size))  # blocks per gather: 1 MB
-            for lo in range(0, len(index), step):
-                # M as reals, columns (Re, Im) of each: H = M^T M holds G = M^dagger M.
-                m = np.take(unit, index[lo:lo + step], axis=1).view(float)
-                h = np.matmul(m.swapaxes(-1, -2), m).reshape(m.shape[:-2] + (index.shape[2], 2) * 2)
-                re, im = h[..., 0, :, 0] + h[..., 1, :, 1], h[..., 0, :, 1] - h[..., 1, :, 0]
-                np.add.at(purity.T, slots[lo:lo + step, 0] // width,
-                          (re * re + im * im).sum(axis=(-2, -1)).T)
-        slack = (width * (width - 1) * linalg.ZERO_EIGENVALUE_TOL  # pure_negativities derives it
-                 + 5 * amps.shape[1] * width ** 2 * np.finfo(float).eps * n2)
-        bound = n2 * (1 / purity - 1) - slack
-    bound[~np.isfinite(bound)] = -np.inf
-    return bound
+            np.add.at(total.T, slots[:, 0] // width, np.sqrt(p[:, index].sum((-2, -1))).T)
+        n2, d = p.sum(axis=1)[:, None], amps.shape[1]
+        bound = total * total - n2 - (width * (width - 1) * linalg.ZERO_EIGENVALUE_TOL
+                                      + d * width * (3 * width + 4) * np.finfo(float).eps * n2)
+    return np.nan_to_num(bound, nan=-np.inf, posinf=-np.inf)
 
 
 def _check_amplitudes(amps, size: int) -> np.ndarray:
@@ -275,26 +262,24 @@ def pure_negativities(amps: np.ndarray, n_sites: int, k: int, masks: Iterable[in
                       lowest: int | None = None, exact: Iterable[int] = ()) -> np.ndarray:
     """double_negativity of each pure state of a (T, C(N,k)) sector stack per split mask.
 
-    |psi><psi|^{T_A} has the negative eigenvalues -s_i s_j (i < j) of the
-    Schmidt values s_i (Vidal and Werner, PRA 65, 032314, 2002); products below
-    ZERO_EIGENVALUE_TOL are dropped, as for mixed states, so product states give
-    0.0.  One batched svd per block shape of _schmidt_plan (a norm for r x 1
-    blocks) serves all splits and all T states, T * len(masks) * C(N,k)
-    gathered amplitudes, so the caller bounds T; the result is (T, len(masks)).
+    |psi><psi|^{T_A} has the negative eigenvalues -s_i s_j (i < j) of the Schmidt values
+    s_i (Vidal and Werner, PRA 65, 032314, 2002); products below ZERO_EIGENVALUE_TOL are
+    dropped, as for mixed states, so product states give 0.0.  One batched svd per block
+    shape of _schmidt_plan (a norm for r x 1 blocks) serves all splits and all T states,
+    T * len(masks) * C(N,k) gathered amplitudes (the caller bounds T): a (T, len(masks)) table.
 
-    lowest (default: all) asks for each row's lowest values only.  With n2 =
-    sum_i s_i^2 and the purity P = Tr rho_A^2 = sum_j ||M_j^dagger M_j||_F^2 of
-    the split's blocks M_j (one Gram pass, no svd), Renyi entropies, which do not
-    grow with their order (Renyi 1961), give N >= n2^3 / P - n2.  Exact are the
-    splits with no block of two or more columns, the masks in exact, the lowest
-    splits of lowest bound, then every split whose bound less the slack
-    w (w - 1) ZERO_EIGENVALUE_TOL + 5 d w^2 eps n2 (w the plan's width, d =
-    C(N,k): at most w (w - 1) / 2 dropped pairs 2 s_i s_j, and first-order
-    rounding of 2 d w^2 eps n2 in the Gram pass and in the svd, d w^2 eps n2 in
-    the sums) is at or below the row's lowest-th exact value.  The rest is +inf
-    and provably above them: a row's lowest values, and values tied with them,
-    are == to the full table's, from at most two svd calls per block shape.
-    With 2 lowest or fewer splits to skip, the full table is computed.
+    lowest (default: all) asks for each row's lowest values only.  A block M_j's singular
+    values sum to at least ||M_j||_F, so N >= (sum_j ||M_j||_F)^2 - n2, n2 = ||psi||^2: one
+    pass over |psi|^2, no svd.  Exact are the splits with no block of two or more columns,
+    the masks in exact, the lowest splits of lowest bound, then every split whose bound less
+    the slack w (w - 1) ZERO_EIGENVALUE_TOL + d w (3 w + 4) eps n2 is at or below the row's
+    lowest-th exact value (w the plan's width, d = C(N,k): at most w (w - 1) / 2 dropped
+    pairs 2 s_i s_j, and first-order rounding, through (sum_j ||M_j||_F)^2 <= (sum_i s_i)^2
+    <= w n2 (at most w blocks and w values a split), of 4 d w eps n2 in the bound, 2 d w^2
+    eps n2 in the svd and d w^2 eps n2 in the pair sums).  The rest is +inf and provably
+    above them: a row's lowest values, and values tied with them, are == to the full
+    table's, from at most two svd calls per block shape.  With 2 lowest or fewer splits to
+    skip, the full table is computed.
     """
     masks = tuple(masks)
     plan = _schmidt_plan(n_sites, k, masks)

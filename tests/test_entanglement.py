@@ -528,22 +528,49 @@ def screen_cases(draw):
     return n, k, np.array(psis)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(screen_cases())
-def test_screen_keeps_the_lowest_values(case):
-    # The purity bound, less its slack, never exceeds a split's value: the Schmidt
-    # kernel's for every split, the dense oracle's for a few.  A screened row is
-    # == to the full row at its `lowest` lowest values and every value tied with
-    # them, and +inf or == elsewhere; a skipped entry lies above them.  Product
-    # states give exactly 0.0.
-    n, k, amps = case
-    masks = [p.part_a.mask for p in enumerate_bipartitions(n)]
-    full = pure_negativities(amps, n, k, masks)
+def norm_bounds(n, k, amps, masks):
+    """_norm_bounds of a stack, from its _schmidt_plan and its norms' Schmidt values."""
     width, norms, blocks, _ = entanglement._schmidt_plan(n, k, tuple(masks))
     s = np.zeros((len(amps), len(masks), width))  # the norms' Schmidt values, 0 elsewhere
     for index, slots in norms:
         s.reshape(len(amps), -1)[:, slots] = np.linalg.norm(amps[:, index], axis=-2)
-    bound = entanglement._purity_bounds(amps, s, blocks)
+    return entanglement._norm_bounds(amps, s, blocks), width
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(screen_cases())
+def test_norm_bound_matches_block_norms(case):
+    # The screen's bound is (sum_j ||M_j||_F)^2 - ||psi||^2 less its slack.  The
+    # block norms a second way: the full-basis Schmidt matrix of each split, its
+    # rows (A's configurations) grouped by their excitations j, one Frobenius
+    # norm per group.  The slack is the one pure_negativities derives.
+    n, k, amps = case
+    masks = [p.part_a.mask for p in enumerate_bipartitions(n)]
+    bound, width = norm_bounds(n, k, amps, masks)
+    psis = np.zeros((len(amps), 1 << n), dtype=np.complex128)
+    psis[:, excitation_sector(n, k)] = amps
+    n2 = np.sum(np.abs(amps) ** 2, axis=1)
+    slack = (width * (width - 1) * linalg.ZERO_EIGENVALUE_TOL
+             + amps.shape[1] * width * (3 * width + 4) * np.finfo(float).eps * n2)
+    for j, mask in enumerate(masks):
+        m = psis[:, entanglement._schmidt_index(n, mask)]
+        excited = np.array([r.bit_count() for r in range(m.shape[1])])
+        total = sum(np.linalg.norm(m[:, excited == e], axis=(1, 2)) for e in set(excited))
+        assert np.all(np.abs(bound[:, j] + slack - (total ** 2 - n2)) <= 1e-12)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(screen_cases())
+def test_screen_keeps_the_lowest_values(case):
+    # The block-norm bound, less its slack, never exceeds a split's value: the
+    # Schmidt kernel's for every split, the dense oracle's for a few.  A screened
+    # row is == to the full row at its `lowest` lowest values and every value
+    # tied with them, and +inf or == elsewhere; a skipped entry lies above them.
+    # Product states give exactly 0.0.
+    n, k, amps = case
+    masks = [p.part_a.mask for p in enumerate_bipartitions(n)]
+    full = pure_negativities(amps, n, k, masks)
+    bound, _ = norm_bounds(n, k, amps, masks)
     assert np.all(bound <= full)
     rng = np.random.default_rng(len(masks))
     for state, psi in enumerate(amps):
@@ -577,18 +604,18 @@ def test_screen_takes_any_numeric_dtype(dtype):
     assert np.array_equal(got.min(axis=1), full.min(axis=1))
 
 
-@pytest.mark.parametrize("label, gram_passes", [("1001", 0), ("100110", 1)])
-def test_screen_runs_only_where_it_can_skip(monkeypatch, label, gram_passes):
+@pytest.mark.parametrize("label, bound_passes", [("1001", 0), ("100110", 1)])
+def test_screen_runs_only_where_it_can_skip(monkeypatch, label, bound_passes):
     # table1's N=4 row has 3 splits with a block of two or more columns, one of them the
-    # fixed split, so the screen could skip 2 = 2 lowest: the full table, no Gram pass.
-    # At N=6, 24 splits could be skipped: one Gram pass.
-    n, calls, bounds = len(label), [], entanglement._purity_bounds
-    monkeypatch.setattr(entanglement, "_purity_bounds", lambda *a: calls.append(a) or bounds(*a))
+    # fixed split, so the screen could skip 2 = 2 lowest: the full table, no bound pass.
+    # At N=6, 24 splits could be skipped: one bound pass.
+    n, calls, bounds = len(label), [], entanglement._norm_bounds
+    monkeypatch.setattr(entanglement, "_norm_bounds", lambda *a: calls.append(a) or bounds(*a))
     amps = evolve_full(n, label, [1.0])[:, excitation_sector(n, n // 2)]
     fixed = dynamics.default_fixed_bipartition(n).part_a.mask
     masks = range(1, (1 << n) - 1, 2)
     got = pure_negativities(amps, n, n // 2, masks, lowest=1, exact=(fixed,))
-    assert len(calls) == gram_passes
+    assert len(calls) == bound_passes
     assert got.min() == pure_negativities(amps, n, n // 2, masks).min()
 
 
