@@ -1,12 +1,14 @@
 """Time sweeps: evolve psi(tau) on a grid, evaluate witnesses, locate first maxima.
 
 H conserves the number of excitations, so sector_eigensystem diagonalises
-only its block on the initial state's k-excitation sector, once; amplitudes
-then needs the phase factors e^{-i w tau} and one matrix-vector product per tau.
+only its block on the initial state's k-excitation sector, once and in symmetry
+blocks; amplitudes then needs the phase factors e^{-i w tau} and one
+matrix-vector product per tau.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -101,22 +103,57 @@ class MaximumReport:
     splits: tuple[str, ...] = ()  # an exact maximum's minimising columns, 'A|S-A' each
 
 
+@functools.lru_cache(maxsize=None)
+def _symmetry_plan(n_sites: int, k: int) -> tuple:
+    """H's symmetry blocks on the k-excitation sector: one (chi, reps, img, t, reached) each.
+
+    Both profiles depend only on |i-j|, so H_dz commutes with the mirror R (site i ->
+    N+1-i) and, when 2k = N, with the global flip X: G = {1, X, R, RX} or {1, R} maps the
+    sector to itself.  The block of a character chi of G (its signs on those elements)
+    holds one basis vector per orbit whose stabiliser chi is trivial on (Sandvik, AIP Conf.
+    Proc. 1297, 135, 2010): reached marks the orbits' states, reps are their least sector
+    positions, img[i, g] the position of g(r_i), and t = 1/sqrt(orbit size).
+    """
+    sector = np.array(excitation_sector(n_sites, k))
+    flips = (0, (1 << n_sites) - 1) if 2 * k == n_sites else (0,)
+    mirror = (sector[:, None] >> np.arange(n_sites) & 1) @ (1 << np.arange(n_sites)[::-1])
+    img = np.searchsorted(sector, [s ^ f for s in (sector, mirror) for f in flips]).T
+    fixed, sign = img == np.arange(len(sector))[:, None], np.array([[1, 1], [1, -1]])
+    plan = []
+    for chi in np.kron(sign, sign[:len(flips), :len(flips)]):
+        reached = ~(fixed & (chi < 0)).any(axis=1)
+        reps = np.flatnonzero(reached & (img.min(axis=1) == np.arange(len(sector))))
+        plan.append((chi, reps, img[reps], np.sqrt(fixed[reps].mean(axis=1)), reached))
+        for a in plan[-1]:
+            a.setflags(write=False)  # the cache hands these arrays to every caller
+    return tuple(plan)
+
+
 def sector_eigensystem(n_sites: int, initial_label: str,
                        profile: CouplingKind = CouplingKind.ALL_PAIRS_DIPOLAR) -> tuple:
-    """(sector, w, v, c0): H on the initial state's excitation sector, diagonalised once.
+    """(sector, w, v, c0): H on the initial state's excitation sector, one eigh per block.
 
-    sector lists the sector's basis indices (hilbert.excitation_sector); w and v
-    are the eigenvalues and eigenvectors of H's block there (all-pairs dipolar
-    unless a profile is given), c0 the initial state in that eigenbasis.
+    sector lists the sector's basis indices (hilbert.excitation_sector).  H's block there
+    (all-pairs dipolar unless a profile is given) is solved one _symmetry_plan block at a
+    time, and only the blocks the initial state reaches are kept: w their eigenvalues, not
+    sorted, v (C(N,k) x m) their eigenvectors on the sector, c0 the initial state's row.
     """
     if not 2 <= n_sites <= MAX_SITES:
         raise ValueError(f"n_sites must be 2..{MAX_SITES}, got {n_sites}")
     if len(initial_label) != n_sites:
         raise ValueError("initial label length != n_sites")
     start = basis_index(initial_label)  # a 0/1 label, checked before the eigensolve
-    w, v = np.linalg.eigh(build_hdz(n_sites, start.bit_count(), profile))
-    sector = excitation_sector(n_sites, start.bit_count())
-    return sector, w, v.astype(np.complex128), v[sector.index(start)]  # amplitudes needs complex v
+    k = start.bit_count()
+    h, sector = build_hdz(n_sites, k, profile), excitation_sector(n_sites, k)
+    p0, ws, vs = sector.index(start), [], []
+    for chi, reps, img, t, reached in _symmetry_plan(n_sites, k):
+        if reached[p0]:  # H_chi[i, j] = sum_g chi(g) H[r_i, g(r_j)] / (|G| t_i t_j)
+            wb, vb = np.linalg.eigh(h[reps[:, None, None], img] @ chi / (len(chi) * t[:, None] * t))
+            ws.append(wb)
+            vs.append(np.zeros((len(sector), len(reps))))
+            vs[-1][img.T] = chi[:, None, None] * (t[:, None] * vb)  # v[g(r_i)] = chi(g) t_i V[i]
+    v = np.hstack(vs)
+    return sector, np.concatenate(ws), v.astype(np.complex128), v[p0]  # amplitudes needs complex v
 
 
 def amplitudes(w: np.ndarray, v: np.ndarray, c0: np.ndarray, taus) -> np.ndarray:

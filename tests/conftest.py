@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from mebd import dynamics, entanglement, linalg
-from mebd.hilbert import (Bipartition, basis_index, partial_trace, partial_transpose,
-                          site_index_bit)
-from mebd.model import CouplingKind
+from mebd.hilbert import (Bipartition, basis_index, excitation_sector, partial_trace,
+                          partial_transpose, site_index_bit)
+from mebd.model import CouplingKind, build_hdz
 
 
 @pytest.fixture
@@ -61,8 +61,6 @@ def random_density(rng, dim, rank=None):
 
 def random_sector_state(rng, n_sites, k):
     """Pure state supported on the k-excitation sector."""
-    from mebd.hilbert import excitation_sector
-
     sec = excitation_sector(n_sites, k)
     psi = np.zeros(1 << n_sites, dtype=np.complex128)
     amps = rng.normal(size=len(sec)) + 1j * rng.normal(size=len(sec))
@@ -80,6 +78,19 @@ def evolve_full(n_sites, label, taus, profile=CouplingKind.ALL_PAIRS_DIPOLAR):
     psis = np.zeros((len(taus), 1 << n_sites), dtype=np.complex128)
     psis[:, sector] = dynamics.amplitudes(w, v, c0, taus)
     return psis
+
+
+def dense_eigensystem(n_sites, label, profile=CouplingKind.ALL_PAIRS_DIPOLAR):
+    """Oracle of dynamics.sector_eigensystem: one eigh of H's whole sector block.
+
+    The package solves H one symmetry block at a time and keeps only the
+    blocks the label reaches; this is the one dense solve it replaced, with w
+    sorted and v real and square.
+    """
+    k = label.count("1")
+    w, v = np.linalg.eigh(build_hdz(n_sites, k, profile))
+    sector = excitation_sector(n_sites, k)
+    return sector, w, v, v[sector.index(basis_index(label))]
 
 
 def pure_density(state, n_sites=None):

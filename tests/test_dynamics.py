@@ -28,10 +28,10 @@ from mebd.dynamics import (
 )
 from mebd.entanglement import double_negativity, mebd, single_node_witness
 from mebd.hilbert import Bipartition, SiteSet, excitation_sector, partial_trace
-from mebd.model import CouplingKind
+from mebd.model import CouplingKind, build_hdz
 
-from conftest import (all_splits_first_maximum, dense_lower_estimate_1, evolve_full, full_hdz,
-                      pure_density)
+from conftest import (all_splits_first_maximum, dense_eigensystem, dense_lower_estimate_1,
+                      evolve_full, full_hdz, pure_density)
 
 
 class TestSweepConfig:
@@ -171,6 +171,66 @@ class TestEvolve:
         assert sector == excitation_sector(6, 3)
         assert amplitudes(w, v, c0, np.linspace(0.0, 3.0, 7)).shape == (7, 20)
         assert amplitudes(w, v, c0, []).shape == (0, 20)
+
+
+def _eigensystem_cases():
+    """Every k at N=2..10 and half filling at N=11 and 12, both profiles, up to three labels.
+
+    The sector's first and last states, and one from a seeded draw: at half
+    filling the first two are fixed by RX, so they reach half the blocks, and
+    the drawn one is mostly fixed by nothing and reaches them all.
+    """
+    sizes = [(n, k) for n in range(2, 11) for k in range(n + 1)] + [(11, 5), (12, 6)]
+    cases = []
+    for n, k in sizes:
+        sector = excitation_sector(n, k)
+        pick = np.random.default_rng(100 * n + k).integers(len(sector))
+        labels = sorted({format(sector[i], f"0{n}b") for i in (0, -1, pick)})
+        cases += [pytest.param(n, label, p, id=f"{n}-{label}-{p.name}")
+                  for p in CouplingKind for label in labels]
+    return cases
+
+
+class TestSymmetryBlocks:
+    @pytest.mark.parametrize("n, label, profile", _eigensystem_cases())
+    def test_blocks_match_the_dense_eigensystem(self, n, label, profile):
+        # One eigh per mirror (and, at half filling, spin-flip) block: the kept
+        # eigenpairs solve H, are orthonormal, hold the whole initial state, and
+        # evolve it as the one dense eigh of the sector block does.
+        sector, w, v, c0 = sector_eigensystem(n, label, profile)
+        h = build_hdz(n, label.count("1"), profile)
+        assert v.dtype == np.complex128 and v.flags.c_contiguous and c0.dtype == np.float64
+        assert v.shape == (len(sector), len(w))
+        assert np.array_equal(c0, v.real[sector.index(int(label, 2))])
+        assert np.abs(h @ v - v * w).max() <= 1e-12
+        assert np.abs(v.conj().T @ v - np.eye(len(w))).max() <= 1e-12
+        assert abs(np.linalg.norm(c0) - 1.0) <= 1e-14
+        taus = np.linspace(0.0, 3.0, 7)
+        _, dw, dv, dc0 = dense_eigensystem(n, label, profile)
+        assert np.abs(amplitudes(w, v, c0, taus) - amplitudes(dw, dv, dc0, taus)).max() <= 1e-12
+
+    @pytest.mark.parametrize("label, kept", [("10011001", 38), ("100110011001", 472),
+                                             ("11001010", 70)])
+    def test_only_the_blocks_the_label_reaches(self, label, kept):
+        # 10011001 and 100110011001 are fixed by the mirror, so they reach only
+        # its even blocks; 11001010 is fixed by no element and reaches them all.
+        # A mirrored label gives a mirrored psi(tau), bit for bit, exactly
+        # when the label is its own mirror.
+        n = len(label)
+        sector, w, v, c0 = sector_eigensystem(n, label)
+        assert v.shape == (len(sector), kept) and w.shape == c0.shape == (kept,)
+        psi = amplitudes(w, v, c0, np.linspace(0.0, 3.0, 13))
+        mirror = [sector.index(int(format(b, f"0{n}b")[::-1], 2)) for b in sector]
+        assert np.array_equal(psi, psi[:, mirror]) == (label == label[::-1])
+
+    @pytest.mark.parametrize("profile", CouplingKind)
+    def test_couplings_are_mirror_symmetric(self, profile):
+        # The blocks rest on H commuting with the mirror: a profile that does
+        # not depend on |i - j| alone must fail here before it reaches them.
+        for n in range(2, 13):
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    assert profile.coupling(i, j) == profile.coupling(n + 1 - j, n + 1 - i)
 
 
 class TestRunSweep:
@@ -699,7 +759,8 @@ class TestCertifiedSearch:
         assert solved[-1] == (16, None, 560)
 
     @pytest.mark.parametrize("quantity, n, label, splits", [
-        pytest.param(MEBD, 3, "010", ("1|2.3", "1.3|2"), id="3-010-splits0"),
+        # 010 is fixed by the mirror, so 1|2.3 and its mirror 1.2|3 tie at tau*.
+        pytest.param(MEBD, 3, "010", ("1|2.3", "1.2|3", "1.3|2"), id="3-010-splits0"),
         # At the smooth N=4 maximum every one-site split is maximally entangled.
         pytest.param(MEBD, 4, "1001", ("1|2.3.4", "1.2.3|4", "1.2.4|3", "1.3.4|2"),
                      id="4-1001-splits1"),
