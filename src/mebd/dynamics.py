@@ -187,10 +187,12 @@ def _sweep_evaluator(cfg: SweepConfig):
     M_S the Schmidt matrix of S|rest, for the mixed kernel.  reads[q] lists q's columns,
     and q is their minimum.  rows(taus, cols, lowest) yields (tau, table) per kernel call,
     table the values of the columns asked for and no others; with lowest, pure_negativities'
-    screen leaves +inf in psi's columns above each row's lowest values, but keeps the fixed
-    split's column exact.  A call takes at most EVOLVE_BATCH tau, GATHER_ELEMENTS amplitudes
-    gathered for its splits of psi and, with columns on a part, 2^16 / d^2 tau, d the
-    dimension of the largest such part.
+    screen leaves +inf in psi's columns above each row's lowest values.  e1_fixed stays exact
+    (E^1 <= MEBD): a skipped fixed split lies above another split C|D, which cuts a part P,
+    and N_{C&P, D&P}(rho_P) <= N_{C,D}, the trace over the rest being local on each side of
+    C|D (Vidal and Werner, PRA 65, 032314, 2002).  A call takes at most EVOLVE_BATCH tau,
+    GATHER_ELEMENTS amplitudes gathered for its splits of psi and, with columns on a part,
+    2^16 / d^2 tau, d the dimension of the largest such part.
     """
     n, k, full = cfg.n_sites, cfg.initial_label.count("1"), (1 << cfg.n_sites) - 1
     fixed = cfg.fixed_bipartition or default_fixed_bipartition(n)
@@ -214,7 +216,7 @@ def _sweep_evaluator(cfg: SweepConfig):
             table = np.empty((len(amps), len(cols)))
             if pure:
                 table[:, pure] = entanglement.pure_negativities(
-                    amps, n, k, [cols[j][1] for j in pure], lowest=lowest, exact=(fixed_mask,))
+                    amps, n, k, [cols[j][1] for j in pure], lowest=lowest)
             if mixed:
                 psi = np.zeros((len(amps), 1 << n), dtype=np.complex128)
                 psi[:, sector] = amps
@@ -257,15 +259,16 @@ def first_maximum(cfg: SweepConfig, quantity: str = MEBD,
     qualifying maximum.  Rounds keep the maximum in [b - h, b + h], from the grid point b
     and h = step: each divides h by SEARCH_BATCH / 2 + 1, evaluates b + h * (+-1 ..
     +-SEARCH_BATCH / 2) together and moves b to the best point if strictly higher,
-    until 2h <= REFINE_TOL (a kink comes out exact).  Each quantity is a minimum over
-    its columns (_sweep_evaluator), so the rounds search R >= the curve, the minimum over
-    candidates: the CANDIDATE_SPLITS lowest columns at each grid point of the cell, in the
-    scan's rows, which the kernel's screen computes exactly up to those lowest values.  The
-    rows at b - h, b, b + h, exact up to their minimum, certify b: if b's has its minimum at
-    a candidate, curve(b) = R(b) >= max R >= max curve; else that column joins the
-    candidates and the search reruns.  Those rows' minimising columns are the report's
-    splits, and the grid point stays if nothing is higher.  Only quantity, in cfg and not
-    per_partition, is read; it and min_value are checked before the eigensolve.
+    until 2h <= REFINE_TOL.  A kink comes out exact; at a smooth maximum rounding fixes
+    tau* only to about sqrt(ulp / curvature), ~3e-8 at curvature 0.14.  Each quantity is a
+    minimum over its columns (_sweep_evaluator), so the rounds search R >= the curve, the
+    minimum over candidates: the CANDIDATE_SPLITS lowest columns at each grid point of the
+    cell, in the scan's rows, which the kernel's screen computes exactly up to those lowest
+    values.  The rows at b - h, b, b + h, exact up to their minimum, certify b: if b's has
+    its minimum at a candidate, curve(b) = R(b) >= max R >= max curve; else that column
+    joins the candidates and the search reruns.  Those rows' minimising columns are the
+    report's splits, and the grid point stays if nothing is higher.  Only quantity, in cfg
+    and not per_partition, is read; it and min_value are checked before the eigensolve.
     """
     if quantity not in cfg.quantities or quantity == PER_PARTITION:  # before the eigensolve
         raise ValueError(f"quantity {quantity!r} is not in the series")

@@ -181,7 +181,8 @@ def _schmidt_plan(n_sites: int, k: int, masks: tuple[int, ...]):
     plan = [(np.concatenate([i for i, _, _ in g]),
              np.concatenate([r[:, None] * width + o + np.arange(i.shape[2]) for i, r, o in g]))
             for g in groups.values()]
-    direct.setflags(write=False)  # the cache hands it to every caller
+    for a in (direct, *itertools.chain.from_iterable(plan)):
+        a.setflags(write=False)  # the cache hands these arrays to every caller
     return (width, tuple(p for p in plan if p[0].shape[2] == 1),
             tuple(p for p in plan if p[0].shape[2] > 1), direct)
 
@@ -199,21 +200,17 @@ def _pair_sums(s: np.ndarray) -> np.ndarray:
 
 
 def _schmidt_negativities(amps: np.ndarray, width: int, norms, blocks, direct: np.ndarray,
-                          lowest: int | None = None, exact: Sequence[int] = ()) -> np.ndarray:
+                          lowest: int | None = None) -> np.ndarray:
     """The (T, splits) negativities of the Schmidt blocks that a _schmidt_plan takes from amps.
 
     With lowest, pure_negativities' screen, +inf where a split is skipped, unless it could
-    skip 2 lowest splits or fewer (not direct, not in exact): then, as without, the full table.
+    skip 2 lowest splits or fewer (the splits not direct): then, as without, the full table.
     """
     s = np.zeros((len(amps), len(direct), width))
     flat = s.reshape(len(amps), -1)
     for index, slots in norms:
         flat[:, slots] = np.linalg.norm(amps[:, index], axis=-2)
-    if screen := bool(blocks) and lowest is not None and 2 * lowest < len(direct):
-        free = ~direct  # the splits the screen may skip
-        free[list(exact)] = False
-        screen = np.count_nonzero(free) > 2 * lowest
-    if not screen:
+    if lowest is None or np.count_nonzero(~direct) <= 2 * lowest:
         for index, slots in blocks:
             flat[:, slots] = np.linalg.svd(amps[:, index], compute_uv=False)
         return _pair_sums(s.reshape(-1, width)).reshape(s.shape[:2])
@@ -227,8 +224,8 @@ def _schmidt_negativities(amps: np.ndarray, width: int, norms, blocks, direct: n
                                                            compute_uv=False)
         out[need] = _pair_sums(s[need])
 
-    key = np.where(free, bound, -np.inf)  # the other splits first, then the lowest bounds
-    last = len(free) - np.count_nonzero(free) + lowest - 1
+    key = np.where(direct, -np.inf, bound)  # the direct splits first, then the lowest bounds
+    last = np.count_nonzero(direct) + lowest - 1
     need = key <= np.partition(key, last, axis=1)[:, last, None]
     solve(need)
     solve(~need & (bound <= np.partition(out, lowest - 1, axis=1)[:, lowest - 1, None]))
@@ -259,7 +256,7 @@ def _check_amplitudes(amps, size: int) -> np.ndarray:
 
 
 def pure_negativities(amps: np.ndarray, n_sites: int, k: int, masks: Iterable[int],
-                      lowest: int | None = None, exact: Iterable[int] = ()) -> np.ndarray:
+                      lowest: int | None = None) -> np.ndarray:
     """double_negativity of each pure state of a (T, C(N,k)) sector stack per split mask.
 
     |psi><psi|^{T_A} has the negative eigenvalues -s_i s_j (i < j) of the Schmidt values
@@ -271,15 +268,15 @@ def pure_negativities(amps: np.ndarray, n_sites: int, k: int, masks: Iterable[in
     lowest (default: all) asks for each row's lowest values only.  A block M_j's singular
     values sum to at least ||M_j||_F, so N >= (sum_j ||M_j||_F)^2 - n2, n2 = ||psi||^2: one
     pass over |psi|^2, no svd.  Exact are the splits with no block of two or more columns,
-    the masks in exact, the lowest splits of lowest bound, then every split whose bound less
-    the slack w (w - 1) ZERO_EIGENVALUE_TOL + d w (3 w + 4) eps n2 is at or below the row's
-    lowest-th exact value (w the plan's width, d = C(N,k): at most w (w - 1) / 2 dropped
-    pairs 2 s_i s_j, and first-order rounding, through (sum_j ||M_j||_F)^2 <= (sum_i s_i)^2
-    <= w n2 (at most w blocks and w values a split), of 4 d w eps n2 in the bound, 2 d w^2
-    eps n2 in the svd and d w^2 eps n2 in the pair sums).  The rest is +inf and provably
-    above them: a row's lowest values, and values tied with them, are == to the full
-    table's, from at most two svd calls per block shape.  With 2 lowest or fewer splits to
-    skip, the full table is computed.
+    the lowest splits of lowest bound, then every split whose bound less the slack
+    w (w - 1) ZERO_EIGENVALUE_TOL + d w (3 w + 4) eps n2 is at or below the row's lowest-th
+    exact value (w the plan's width, d = C(N,k): at most w (w - 1) / 2 dropped pairs
+    2 s_i s_j, and first-order rounding, through (sum_j ||M_j||_F)^2 <= (sum_i s_i)^2 <= w n2
+    (at most w blocks and w values a split), of 4 d w eps n2 in the bound, 2 d w^2 eps n2
+    in the svd and d w^2 eps n2 in the pair sums).  The rest is +inf and provably above
+    them: a row's lowest values, and values tied with them, are == to the full table's,
+    from at most two svd calls per block shape.  With 2 lowest or fewer splits to skip,
+    the full table is computed.
     """
     masks = tuple(masks)
     plan = _schmidt_plan(n_sites, k, masks)
@@ -287,9 +284,7 @@ def pure_negativities(amps: np.ndarray, n_sites: int, k: int, masks: Iterable[in
     if lowest is not None and (isinstance(lowest, bool) or not isinstance(lowest, numbers.Integral)
                                or lowest < 1):
         raise ValueError(f"lowest must be a positive integer or None, got {lowest!r}")
-    exact = set(exact)
-    exact = [j for j, mask in enumerate(masks) if mask in exact] if lowest else ()
-    return _schmidt_negativities(amps, *plan, lowest, exact)
+    return _schmidt_negativities(amps, *plan, lowest)
 
 
 def _schmidt_index(n_sites: int, mask: int) -> np.ndarray:

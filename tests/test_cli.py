@@ -75,6 +75,21 @@ class TestSweepCommand:
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
         assert manifest["config"]["e1_partition"] == label
 
+    def test_manifest_diagnostics_match_the_csv(self, capsys, tmp_path):
+        # Both diagnostics, recomputed from the CSV the same run wrote: the largest
+        # e_tilde - mebd, and 2 e1_fixed / mebd at the row where mebd is largest.
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--n", "4", "--init", "1001", "--out", str(out))
+        assert code == 0
+        header, *lines = out.read_text().splitlines()
+        rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+        diag = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["diagnostics"]
+        peak = max(rows, key=lambda row: row["mebd"])
+        assert diag == {
+            "max_gap_single_node_minus_mebd": max(row["e_tilde"] - row["mebd"] for row in rows),
+            "doubled_fixed_estimate_over_mebd_at_peak": 2.0 * peak["e1_fixed"] / peak["mebd"]}
+        assert diag["max_gap_single_node_minus_mebd"] > 0
+
     def test_ground_state_all_zero(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--n", "2", "--init", "00",
                                "--tau-max", "1.0", "--tau-step", "0.25")

@@ -604,19 +604,38 @@ def test_screen_takes_any_numeric_dtype(dtype):
     assert np.array_equal(got.min(axis=1), full.min(axis=1))
 
 
-@pytest.mark.parametrize("label, bound_passes", [("1001", 0), ("100110", 1)])
-def test_screen_runs_only_where_it_can_skip(monkeypatch, label, bound_passes):
-    # table1's N=4 row has 3 splits with a block of two or more columns, one of them the
-    # fixed split, so the screen could skip 2 = 2 lowest: the full table, no bound pass.
-    # At N=6, 24 splits could be skipped: one bound pass.
+@pytest.mark.parametrize("label, lowest, bound_passes", [("1001", 1, 1), ("1001", 2, 0),
+                                                          ("100110", 1, 1)])
+def test_screen_runs_only_where_it_can_skip(monkeypatch, label, lowest, bound_passes):
+    # table1's N=4 row has 3 splits with a block of two or more columns, so the screen could
+    # skip 3: one bound pass for the lowest value, and for the 2 lowest (3 <= 2 * 2) the full
+    # table with no bound pass.  At N=6, 24 splits could be skipped: one bound pass.
     n, calls, bounds = len(label), [], entanglement._norm_bounds
     monkeypatch.setattr(entanglement, "_norm_bounds", lambda *a: calls.append(a) or bounds(*a))
     amps = evolve_full(n, label, [1.0])[:, excitation_sector(n, n // 2)]
-    fixed = dynamics.default_fixed_bipartition(n).part_a.mask
     masks = range(1, (1 << n) - 1, 2)
-    got = pure_negativities(amps, n, n // 2, masks, lowest=1, exact=(fixed,))
+    got = pure_negativities(amps, n, n // 2, masks, lowest=lowest)
     assert len(calls) == bound_passes
-    assert got.min() == pure_negativities(amps, n, n // 2, masks).min()
+    full = pure_negativities(amps, n, n // 2, masks)
+    assert np.array_equal(np.sort(got)[:, :lowest], np.sort(full)[:, :lowest])
+
+
+def test_cached_plans_hand_out_read_only_arrays():
+    # The lru_cached plans hand the same arrays to every caller, so none of them is writeable.
+    def arrays(x):
+        if isinstance(x, np.ndarray):
+            yield x
+        elif isinstance(x, (tuple, list)):
+            for y in x:
+                yield from arrays(y)
+
+    plans = [entanglement._pt_plan(4, (1, 3, 5), blocked) for blocked in (False, True)]
+    plans += [entanglement._schmidt_plan(n, n // 2, tuple(range(1, (1 << n) - 1, 2)))
+              for n in (4, 6)]
+    plans += [dynamics._symmetry_plan(n, k) for n, k in ((5, 2), (6, 3))]
+    got = list(arrays(plans))
+    assert len(got) > 20
+    assert not [a.shape for a in got if a.flags.writeable]
 
 
 class TestPureKernelInput:
