@@ -2,8 +2,9 @@
 
 H conserves the number of excitations, so sector_eigensystem diagonalises
 only its block on the initial state's k-excitation sector, once and in symmetry
-blocks; amplitudes then needs the phase factors e^{-i w tau} and one
-matrix-vector product per tau.
+blocks gathered from H's rows at the orbit representatives (the whole block,
+model.build_hdz, is never built here); amplitudes then needs the phase factors
+e^{-i w tau} and one matrix-vector product per tau.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import entanglement
 from .hilbert import MAX_SITES, Bipartition, SiteSet, basis_index, excitation_sector
-from .model import CouplingKind, build_hdz
+from .model import CouplingKind, _hdz_rows
 
 MAX_GRID_POINTS = 100_000
 # One pure_negativities call: at most EVOLVE_BATCH tau and GATHER_ELEMENTS gathered amplitudes.
@@ -105,28 +106,36 @@ class MaximumReport:
 
 @functools.lru_cache(maxsize=None)
 def _symmetry_plan(n_sites: int, k: int) -> tuple:
-    """H's symmetry blocks on the k-excitation sector: one (chi, reps, img, t, reached) each.
+    """(sector, position, rows, blocks): H's symmetry blocks on the k-excitation sector.
 
-    Both profiles depend only on |i-j|, so H_dz commutes with the mirror R (site i ->
-    N+1-i) and, when 2k = N, with the global flip X: G = {1, X, R, RX} or {1, R} maps the
-    sector to itself.  The block of a character chi of G (its signs on those elements)
-    holds one basis vector per orbit whose stabiliser chi is trivial on (Sandvik, AIP Conf.
-    Proc. 1297, 135, 2010): reached marks the orbits' states, reps are their least sector
-    positions, img[i, g] the position of g(r_i), and t = 1/sqrt(orbit size).
+    sector holds the sector's basis indices (hilbert.excitation_sector) and position[b]
+    the place of basis index b in it.  Both profiles depend only on |i-j|, so H_dz commutes
+    with the mirror R (site i -> N+1-i) and, when 2k = N, with the global flip X:
+    G = {1, X, R, RX} or {1, R} maps the sector to itself.  rows are the orbits' least
+    sector positions, ascending: the only rows of H the eigensolve builds.  The block of a
+    character chi of G (its signs on those elements) holds one basis vector per orbit whose
+    stabiliser chi is trivial on (Sandvik, AIP Conf. Proc. 1297, 135, 2010); blocks has one
+    (chi, at, img, t, reached) each: reached marks the orbits' states, rows[at] are their
+    representatives r_i, img[i, g] the position of g(r_i), and t = 1/sqrt(orbit size).
+    The trivial character's block, which every state reaches, holds every orbit.
     """
     sector = np.array(excitation_sector(n_sites, k))
+    position = np.zeros(1 << n_sites, dtype=np.intp)
+    position[sector] = np.arange(len(sector))
     flips = (0, (1 << n_sites) - 1) if 2 * k == n_sites else (0,)
     mirror = (sector[:, None] >> np.arange(n_sites) & 1) @ (1 << np.arange(n_sites)[::-1])
-    img = np.searchsorted(sector, [s ^ f for s in (sector, mirror) for f in flips]).T
+    img = position[[s ^ f for s in (sector, mirror) for f in flips]].T
     fixed, sign = img == np.arange(len(sector))[:, None], np.array([[1, 1], [1, -1]])
-    plan = []
+    rows = np.flatnonzero(img.min(axis=1) == np.arange(len(sector)))
+    blocks = []
     for chi in np.kron(sign, sign[:len(flips), :len(flips)]):
         reached = ~(fixed & (chi < 0)).any(axis=1)
-        reps = np.flatnonzero(reached & (img.min(axis=1) == np.arange(len(sector))))
-        plan.append((chi, reps, img[reps], np.sqrt(fixed[reps].mean(axis=1)), reached))
-        for a in plan[-1]:
-            a.setflags(write=False)  # the cache hands these arrays to every caller
-    return tuple(plan)
+        at = np.flatnonzero(reached[rows])
+        blocks.append((chi, at, img[rows[at]], np.sqrt(fixed[rows[at]].mean(axis=1)), reached))
+    plan = (sector, position, rows, tuple(blocks))
+    for a in (sector, position, rows, *(a for block in blocks for a in block)):
+        a.setflags(write=False)  # the cache hands these arrays to every caller
+    return plan
 
 
 def sector_eigensystem(n_sites: int, initial_label: str,
@@ -136,24 +145,27 @@ def sector_eigensystem(n_sites: int, initial_label: str,
     sector lists the sector's basis indices (hilbert.excitation_sector).  H's block there
     (all-pairs dipolar unless a profile is given) is solved one _symmetry_plan block at a
     time, and only the blocks the initial state reaches are kept: w their eigenvalues, not
-    sorted, v (C(N,k) x m) their eigenvectors on the sector, c0 the initial state's row.
+    sorted, v (C(N,k) x m, complex) their eigenvectors on the sector, c0 the initial state's
+    row (real).  Only H's rows at the orbit representatives are built (model._hdz_rows),
+    never the whole C(N,k) x C(N,k) block, and the eigenvectors are written straight into
+    the real part of v.
     """
     if not 2 <= n_sites <= MAX_SITES:
         raise ValueError(f"n_sites must be 2..{MAX_SITES}, got {n_sites}")
     if len(initial_label) != n_sites:
         raise ValueError("initial label length != n_sites")
     start = basis_index(initial_label)  # a 0/1 label, checked before the eigensolve
-    k = start.bit_count()
-    h, sector = build_hdz(n_sites, k, profile), excitation_sector(n_sites, k)
-    p0, ws, vs = sector.index(start), [], []
-    for chi, reps, img, t, reached in _symmetry_plan(n_sites, k):
-        if reached[p0]:  # H_chi[i, j] = sum_g chi(g) H[r_i, g(r_j)] / (|G| t_i t_j)
-            wb, vb = np.linalg.eigh(h[reps[:, None, None], img] @ chi / (len(chi) * t[:, None] * t))
-            ws.append(wb)
-            vs.append(np.zeros((len(sector), len(reps))))
-            vs[-1][img.T] = chi[:, None, None] * (t[:, None] * vb)  # v[g(r_i)] = chi(g) t_i V[i]
-    v = np.hstack(vs)
-    return sector, np.concatenate(ws), v.astype(np.complex128), v[p0]  # amplitudes needs complex v
+    sector, position, rows, blocks = _symmetry_plan(n_sites, start.bit_count())
+    h, p0 = _hdz_rows(n_sites, sector, position, rows, profile), position[start]
+    kept = [(chi, at, img, t) for chi, at, img, t, reached in blocks if reached[p0]]
+    v = np.zeros((len(sector), sum(len(at) for _, at, _, _ in kept)), dtype=np.complex128)
+    ws, col = [], 0
+    for chi, at, img, t in kept:  # H_chi[i, j] = sum_g chi(g) H[r_i, g(r_j)] / (|G| t_i t_j)
+        wb, vb = np.linalg.eigh(h[at].take(img, axis=1) @ chi / (len(chi) * t[:, None] * t))
+        ws.append(wb)  # and v[g(r_i)] = chi(g) t_i V[i]
+        v.real[img.T, col:col + len(at)] = chi[:, None, None] * (t[:, None] * vb)
+        col += len(at)
+    return sector.tolist(), np.concatenate(ws), v, v.real[p0].copy()
 
 
 def amplitudes(w: np.ndarray, v: np.ndarray, c0: np.ndarray, taus) -> np.ndarray:

@@ -32,23 +32,36 @@ def build_hdz(n_sites: int, k: int,
 
     H_dz conserves the excitation number, so a state of the sector sees only
     this block.  Rows and columns follow hilbert.excitation_sector (ascending).
-    Diagonal: -2 D_ij z_i z_j with z = +1/2 for |0> (along the field); the
-    flip-flop term couples |..01..> and |..10..> with amplitude D_ij / 2.
+    It is every row of _hdz_rows, for tests and users: the eigensolve
+    (dynamics.sector_eigensystem) builds only the rows its symmetry blocks read.
     """
     if not 2 <= n_sites <= MAX_SITES:
         raise ValueError(f"n_sites must be 2..{MAX_SITES}, got {n_sites}")
-    profile = CouplingKind(profile)  # a name such as "nearest-neighbor"; ValueError otherwise
     sector = np.array(excitation_sector(n_sites, k))
+    position = np.zeros(1 << n_sites, dtype=np.intp)
+    position[sector] = np.arange(sector.size)
+    return _hdz_rows(n_sites, sector, position, np.arange(sector.size), profile)
+
+
+def _hdz_rows(n_sites: int, sector: np.ndarray, position: np.ndarray, rows: np.ndarray,
+              profile: CouplingKind) -> np.ndarray:
+    """Rows `rows` (sector positions) of H_dz's block on sector: len(rows) x len(sector).
+
+    position[b] is basis index b's place in sector.  Diagonal: -2 D_ij z_i z_j with
+    z = +1/2 for |0> (along the field); the flip-flop term couples |..01..> and |..10..>
+    with amplitude D_ij / 2.
+    """
+    profile = CouplingKind(profile)  # a name such as "nearest-neighbor"; ValueError otherwise
     pairs = [(site_index_bit(i, n_sites), site_index_bit(j, n_sites), profile.coupling(i, j))
              for i in range(1, n_sites + 1) for j in range(i + 1, n_sites + 1)]
     bi, bj, d = (np.array(col) for col in zip(*[p for p in pairs if p[2] != 0.0]))
-    z = 0.5 - (sector[:, None] >> np.arange(n_sites) & 1)  # z[:, b]: z of the site in bit b
-    diag = np.zeros(sector.size)
-    for p in range(d.size):  # pair by pair in (i, j) order: the sum rounds as written
-        diag += -2.0 * d[p] * z[:, bi[p]] * z[:, bj[p]]
-    h = np.diag(diag)
+    states = sector[rows]
+    z = 0.5 - (states[:, None] >> np.arange(n_sites) & 1)  # z[:, b]: z of the site in bit b
+    zi, zj = z[:, bi], z[:, bj]
+    h = np.zeros((len(rows), len(sector)))
+    # cumsum adds the pairs one by one in (i, j) order; a reduce would round differently.
+    h[np.arange(len(rows)), rows] = np.cumsum(-2.0 * d * zi * zj, axis=1)[:, -1]
     # Each flip-flop entry comes from exactly one pair: the two flipped sites.
-    src, pair = np.nonzero(z[:, bi] != z[:, bj])
-    dst = np.searchsorted(sector, sector[src] ^ (1 << bi[pair] | 1 << bj[pair]))
-    h[dst, src] = 0.5 * d[pair]
+    src, pair = np.nonzero(zi != zj)
+    h[src, position[states[src] ^ (1 << bi[pair] | 1 << bj[pair])]] = 0.5 * d[pair]
     return h

@@ -295,13 +295,14 @@ class TestNegativityCommand:
 
     def test_bad_label_fails_before_the_hamiltonian(self, capsys, monkeypatch):
         # A label that is not 0/1 is refused before H is built: by SweepConfig for
-        # sweeps and searches, by sector_eigensystem for the negativity query.
+        # sweeps and searches, by sector_eigensystem for the negativity query.  The
+        # eigensolve builds H's rows with the _hdz_rows it imported from model.
         from mebd import dynamics
 
         def unreachable(*args):
-            raise AssertionError("build_hdz called on a bad label")
+            raise AssertionError("_hdz_rows called on a bad label")
 
-        monkeypatch.setattr(dynamics, "build_hdz", unreachable)
+        monkeypatch.setattr(dynamics, "_hdz_rows", unreachable)
         for make in (dynamics.SweepConfig, dynamics.sector_eigensystem):
             with pytest.raises(ValueError, match="0/1"):
                 make(3, "0a1")

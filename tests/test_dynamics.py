@@ -115,15 +115,19 @@ class TestEvolve:
             sector_eigensystem(3, "010", "bogus")
 
     def test_memory_stays_in_sector(self):
-        # The N=12 half-filled sector block is 924 x 924 (6.8 MB); a 2^12 x
-        # 2^12 H alone would take 134 MB.
-        tracemalloc.start()
-        try:
-            evolve_full(12, "101010101010", [1.0])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        # At N=12 half filling the eigensolve builds H's rows at the 252 orbit
+        # representatives (252 x 924, 1.9 MB) and v (at most 924 x 924 complex,
+        # 13.7 MB); a 2^12 x 2^12 H alone would take 134 MB.  101010101010 is
+        # fixed by RX and reaches half the blocks; 110010100101 is fixed by no
+        # element of G and reaches them all.
+        for label in ("101010101010", "110010100101"):
+            tracemalloc.start()
+            try:
+                evolve_full(12, label, [1.0])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20, label
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_rejected(self, bad):
@@ -155,9 +159,10 @@ class TestEvolve:
 
     @pytest.mark.parametrize("n, label", [(8, "10011001"), (12, "100110011001")])
     def test_complex_eigenvectors_give_the_real_ones_rows(self, n, label):
-        # sector_eigensystem casts v to complex once, so amplitudes does not on
-        # every call: its rows are those of the real eigenvectors, bit for bit,
-        # and c0, the initial state's row of them, stays real.
+        # sector_eigensystem writes the eigenvectors into the real part of a complex
+        # v, so amplitudes does not cast on every call: its rows are those of the
+        # real eigenvectors, bit for bit, and c0, the initial state's row of them,
+        # stays real.
         sector, w, v, c0 = sector_eigensystem(n, label)
         assert v.dtype == np.complex128 and not v.imag.any()
         assert c0.dtype == np.float64
@@ -238,16 +243,18 @@ class TestRunSweep:
         # An N=12 mebd sweep, plan build included: the Schmidt blocks of all
         # 2047 splits are gathered from the 924 sector amplitudes with int16
         # indices, one block shape at a time; psi is never padded to 2^12.
-        entanglement._schmidt_plan.cache_clear()
-        cfg = SweepConfig(12, "101010101010", tau_start=0.5, tau_end=1.1, tau_step=0.6,
-                          quantities=(MEBD,))
-        tracemalloc.start()
-        try:
-            assert len(run_sweep(cfg)) == 2
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        # 110010100101 reaches every symmetry block, so v is 924 x 924.
+        for label in ("101010101010", "110010100101"):
+            entanglement._schmidt_plan.cache_clear()
+            cfg = SweepConfig(12, label, tau_start=0.5, tau_end=1.1, tau_step=0.6,
+                              quantities=(MEBD,))
+            tracemalloc.start()
+            try:
+                assert len(run_sweep(cfg)) == 2
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20, label
 
     def test_e1_fixed_memory_bounded_by_chunks(self):
         # A one-site fixed part leaves a 6-site part: its rho stack over a
@@ -681,9 +688,9 @@ class TestFirstMaximum:
     def test_nan_min_value_fails_before_the_eigensolve(self, monkeypatch):
         # Beside the quantity check: H is never built for a NaN min_value.
         def refused(*args):
-            raise AssertionError("build_hdz called")
+            raise AssertionError("_hdz_rows called")
 
-        monkeypatch.setattr(dynamics, "build_hdz", refused)
+        monkeypatch.setattr(dynamics, "_hdz_rows", refused)
         cfg = SweepConfig(8, "10011001", tau_end=3.0, tau_step=0.05)
         with pytest.raises(ValueError, match="min_value must not be NaN"):
             first_maximum(cfg, MEBD, math.nan)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mebd.hilbert import basis_index, excitation_sector
-from mebd.model import CouplingKind, build_hdz
+from mebd.model import CouplingKind, _hdz_rows, build_hdz
 
 from conftest import evolve_full, full_hdz, iz_commutator, pure_density, total_iz
 
@@ -65,6 +65,23 @@ class TestBuildHdz:
         for k in range(n + 1):
             sector = excitation_sector(n, k)
             assert np.array_equal(build_hdz(n, k, kind), full[np.ix_(sector, sector)])
+
+    @pytest.mark.parametrize("kind", list(CouplingKind))
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_rows_are_rows_of_the_block(self, n, kind):
+        # The eigensolve's row builder gives the block's own rows, bit for bit, for
+        # any ascending subset: k = 0 and k = n (one state) included.
+        rng = np.random.default_rng(n)
+        for k in range(n + 1):
+            sector = np.array(excitation_sector(n, k))
+            position = np.zeros(1 << n, dtype=np.intp)
+            position[sector] = np.arange(sector.size)
+            block = build_hdz(n, k, kind)
+            for size in {1, sector.size, int(rng.integers(1, sector.size + 1))}:
+                rows = np.sort(rng.choice(sector.size, size, replace=False))
+                got = _hdz_rows(n, sector, position, rows, kind)
+                assert got.dtype == np.float64 and got.shape == (size, sector.size)
+                assert np.array_equal(got, block[rows])
 
     def test_commutes_with_iz(self):
         for n in (2, 4, 8):
